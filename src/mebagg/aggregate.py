@@ -178,10 +178,8 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
     _check_budget(n, t, max_subsets)
     m = n - t
     dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    best_sub = None
-    best_diam = math.inf
     if m == 1:
-        best_sub, best_diam = (0,), 0.0
+        best_sub = (0,)
     else:
         pair_rows, pair_cols = np.triu_indices(m, k=1)
         subs = np.fromiter(
@@ -191,7 +189,6 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
         diams = dmat[subs[:, pair_rows], subs[:, pair_cols]].max(axis=1)
         idx = int(np.argmin(diams))  # argmin keeps the first (lex-smallest)
         best_sub = tuple(int(i) for i in subs[idx])
-        best_diam = float(diams[idx])
     out = pts[list(best_sub)].mean(axis=0)
     return AggregateResult(output=out, rule="mda", chosen_subset=best_sub)
 
@@ -282,65 +279,84 @@ def geometric_median(
 # min-max relative-distance rule
 
 
-def _gval(y: np.ndarray, C: np.ndarray, R: np.ndarray) -> float:
-    dist = np.linalg.norm(C - y, axis=1)
-    return float(np.max((dist - R) / R))
+# Working-set rounds before the min-max solve gives up. Each round strictly
+# raises the working-set optimum, so it settles long before this.
+_MINMAX_MAX_ROUNDS = 500
 
 
-def _kkt_newton(y0, v0, C, R, active, iters: int = 25):
-    """Newton on the equalization + stationarity system of an active set."""
-    m = len(active)
-    dim = y0.size
-    Ca, Ra = C[active], R[active]
-    eye = np.eye(dim)
-    y = y0.copy()
-    v = v0
-    lam = np.full(m, 1.0 / m)
-    for _ in range(iters):
-        diff = y - Ca
-        dist = np.maximum(np.linalg.norm(diff, axis=1), 1e-300)
-        u = diff / dist[:, None]
-        grads = u / Ra[:, None]
-        F = np.concatenate(
-            [(dist - Ra) / Ra - v, lam @ grads, [lam.sum() - 1.0]]
-        )
-        w = lam / (Ra * dist)
-        H = w.sum() * eye - (u * w[:, None]).T @ u
-        J = np.zeros((m + dim + 1, dim + 1 + m))
-        J[:m, :dim] = grads
-        J[:m, dim] = -1.0
-        J[m : m + dim, :dim] = H
-        J[m : m + dim, dim + 1 :] = grads.T
-        J[m + dim, dim + 1 :] = 1.0
-        try:
-            step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        y = y + step[:dim]
-        v = v + step[dim]
-        lam = lam + step[dim + 1 :]
-        if not np.all(np.isfinite(y)):
-            break
-        if np.abs(F).max() < 1e-14 * (1.0 + abs(v)):
-            break
-    return y, v
+def _best_basis(C: np.ndarray, R: np.ndarray, work: list[int]):
+    """Exact optimum of max ||y - c_i||/r_i over the balls in ``work``.
+
+    Every subset S of at most d+1 balls is solved in closed form, the
+    weighted analogue of ``geometry.circumball``. Take c_0 as the ball of S
+    with the smallest radius and V as the rows c_i - c_0. Then y = c_0 + V^T beta has the
+    same ratio rho at every ball of S when G beta = b - q delta, with
+    q = rho^2, G = V V^T, b_i = |v_i|^2/2 and delta_i = (r_i^2 - r_0^2)/2.
+    So y(q) = c_0 + a - q w is a line, and |y(q) - c_0|^2 = q r_0^2 is a
+    quadratic in q. Its smaller root is the optimum of S whenever that
+    optimum has every ball of S tight, and then y lies in conv(S).
+    Referencing the smallest radius, with the discriminant formed from the
+    offset of c_0 from that line, keeps the root accurate when one radius
+    is tiny next to the others.
+
+    A candidate counts when every ball of S is tight at y; its rho is the
+    largest ratio over ``work``, so no candidate undercuts the optimum of
+    ``work`` and the basis of that optimum attains it. Returns (y, rho, S)
+    for the candidate with the smallest rho, or None when none counts.
+    """
+    CW, RW = C[work], R[work]
+    m, d = CW.shape
+    # a ratio is accurate to about eps * |y - c|/r, which a tiny ball inflates
+    slack = 1e-10 + 1e-12 * RW.max() / RW.min()
+    best = None
+    for k in range(1, min(m, d + 1) + 1):
+        subs = np.array(list(itertools.combinations(range(m), k)))
+        subs = np.take_along_axis(subs, np.argsort(RW[subs], axis=1), axis=1)
+        Cs, Rs = CW[subs], RW[subs]
+        if k == 1:
+            y = Cs[:, 0]
+            ok = np.ones(len(subs), dtype=bool)
+        else:
+            V = Cs[:, 1:] - Cs[:, :1]
+            G = V @ V.transpose(0, 2, 1)
+            ok = np.linalg.matrix_rank(G) == k - 1
+            G[~ok] = np.eye(k - 1)
+            r0sq = Rs[:, 0] ** 2
+            b = 0.5 * np.einsum("sij,sij->si", V, V)
+            delta = 0.5 * (Rs[:, 1:] ** 2 - r0sq[:, None])
+            beta = np.linalg.solve(G, np.stack([b, delta], axis=2))
+            a = np.einsum("si,sid->sd", beta[..., 0], V)
+            w = np.einsum("si,sid->sd", beta[..., 1], V)
+            aa, aw, ww = (a * a).sum(axis=1), (a * w).sum(axis=1), (w * w).sum(axis=1)
+            a_perp = a - (aw / np.where(ww > 0, ww, 1.0))[:, None] * w
+            # |a - q w|^2 = q r_0^2  <=>  ww q^2 - lin q + aa = 0
+            lin = 2.0 * aw + r0sq
+            disc = r0sq * r0sq + 4.0 * r0sq * aw - 4.0 * ww * (a_perp * a_perp).sum(axis=1)
+            ok &= lin > 0
+            q = 2.0 * aa / np.where(ok, lin + np.sqrt(np.maximum(disc, 0.0)), np.inf)
+            y = Cs[:, 0] + a - q[:, None] * w
+        ratios = np.linalg.norm(CW[None, :, :] - y[:, None, :], axis=2) / RW
+        rho = ratios.max(axis=1)
+        ok &= np.take_along_axis(ratios, subs, axis=1).min(axis=1) >= rho * (1.0 - slack)
+        if ok.any():
+            i = int(np.argmin(np.where(ok, rho, np.inf)))
+            if best is None or rho[i] < best[1]:
+                best = (y[i], float(rho[i]), [work[j] for j in subs[i]])
+    return best
 
 
-def solve_minmax(
-    balls,
-    *,
-    subgradient_iters: int = 200,
-    bisection_iters: int = 50,
-    projection_sweeps: int = 250,
-) -> tuple[np.ndarray, float]:
-    """Minimize g(y) = max over balls of (||y - c|| - r)/r.
+def solve_minmax(balls) -> tuple[np.ndarray, float]:
+    """Minimize g(y) = max over balls of (||y - c|| - r)/r exactly.
 
     Returns (argmin, unclamped value); the value is negative when some point
-    lies strictly inside every ball. Three stages: Polyak subgradient
-    descent seeded at the centroid of centers (the pairwise-distance bound
-    max ||c_i-c_j||/(r_i+r_j) - 1 supplies the step target), bisection on
-    the level value with a greedy ball-projection feasibility subsolve, and
-    a Newton polish on candidate active sets.
+    lies strictly inside every ball. This is the weighted Euclidean 1-center
+    problem (Megiddo 1983), LP-type with combinatorial dimension d+1, so the
+    optimum is fixed by at most d+1 tight balls whose centers hold it in
+    their convex hull. An active-set loop finds them: starting from the pair
+    maximizing ||c_i - c_j||/(r_i + r_j), solve the working set exactly
+    (``_best_basis``), stop when no ball has a larger ratio, else replace the
+    working set by the optimal support plus the worst violator. The working
+    set never exceeds d+2 balls and its optimum strictly rises each round.
 
     All radii must be positive; zero-radius candidates are resolved by the
     caller before the solve.
@@ -357,93 +373,37 @@ def solve_minmax(
         raise ConflictingZeroRadiusError(
             "solve_minmax needs strictly positive radii; handle r=0 candidates first"
         )
-    # overlapping subsets often share one MEB; duplicates only blur the
-    # active-set ranking, so collapse them
+    # overlapping subsets often share one MEB; collapse the duplicates
     keyed = np.round(np.column_stack([C, R]), 12)
     _, uniq_idx = np.unique(keyed, axis=0, return_index=True)
     if uniq_idx.size < C.shape[0]:
         C = C[np.sort(uniq_idx)]
         R = R[np.sort(uniq_idx)]
-    B, dim = C.shape
-    if B == 1:
-        return C[0].copy(), -1.0
+    # a local origin keeps the closed-form solves well scaled at any offset
+    origin = C.mean(axis=0)
+    local = C - origin
 
-    pair = np.linalg.norm(C[:, None, :] - C[None, :, :], axis=2)
-    pair = pair / (R[:, None] + R[None, :]) - 1.0
-    np.fill_diagonal(pair, -1.0)
-    lower = max(float(pair.max()), -1.0)
-
-    y = C.mean(axis=0)
-    y_best = y.copy()
-    f_best = _gval(y, C, R)
-    for _ in range(subgradient_iters):
-        dist = np.linalg.norm(C - y, axis=1)
-        ratios = (dist - R) / R
-        a = int(np.argmax(ratios))
-        f = float(ratios[a])
-        if f < f_best:
-            f_best, y_best = f, y.copy()
-        if f - lower < 1e-15:
-            break
-        g = (y - C[a]) / (R[a] * max(dist[a], 1e-300))
-        y = y - 0.7 * ((f - lower) / float(g @ g)) * g
-
-    lo, hi = lower, f_best
-    z_feas = y_best.copy()
-    for _ in range(bisection_iters):
-        if hi - lo <= max(1e-13, 1e-12 * abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        z = z_feas.copy()
-        feasible = False
-        prev = math.inf
-        stall = 0
-        for _ in range(projection_sweeps):
-            dist = np.linalg.norm(C - z, axis=1)
-            ratios = (dist - R) / R
-            w = int(np.argmax(ratios))
-            viol = float(ratios[w]) - mid
-            if viol <= 1e-12 * (1.0 + abs(mid)):
-                feasible = True
-                break
-            if prev - viol < 1e-16 * (1.0 + abs(mid)):
-                stall += 1
-                if stall > 40:
-                    break
-            else:
-                stall = 0
-            prev = viol
-            z = C[w] + (z - C[w]) * (R[w] * (1.0 + mid) / dist[w])
-        if feasible:
-            hi = mid
-            z_feas = z
-            fz = _gval(z, C, R)
-            if fz < f_best:
-                f_best, y_best = fz, z.copy()
-        else:
-            lo = mid
-
-    # polish regardless of how tight the bisection bracket looks: a miscalled
-    # feasibility subsolve can close the bracket around a slightly-high value
-    for _ in range(3):
-        improved = False
-        dist = np.linalg.norm(C - y_best, axis=1)
-        order = np.argsort((dist - R) / R)[::-1]
-        top = order[: min(dim + 3, B)]
-        for m in range(min(dim + 1, len(top)), 1, -1):
-            for sub in itertools.combinations(top, m):
-                yn, _ = _kkt_newton(y_best, f_best, C, R, np.array(sub))
-                if not np.all(np.isfinite(yn)):
-                    continue
-                fn = _gval(yn, C, R)
-                if fn < f_best - 1e-15 * (1.0 + abs(f_best)):
-                    f_best, y_best = fn, yn
-                    improved = True
-        # a polished value meeting the bisection's lower bracket is optimal
-        # to working precision
-        if not improved or f_best <= lo + 1e-12 * (1.0 + abs(f_best)):
-            break
-    return y_best, f_best
+    # pairwise distances from the Gram matrix, without a B x B x d array
+    sq = np.einsum("ij,ij->i", local, local)
+    sep = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (local @ local.T), 0.0))
+    i, j = np.unravel_index(np.argmax(sep / (R[:, None] + R[None, :])), sep.shape)
+    work = sorted({int(i), int(j)})
+    for _ in range(_MINMAX_MAX_ROUNDS):
+        best = _best_basis(local, R, work)
+        if best is None:
+            raise NonConvergenceError(
+                f"no support of the working set {work} certified its optimum"
+            )
+        y, rho, support = best
+        ratios = np.linalg.norm(local - y, axis=1) / R
+        worst = int(np.argmax(ratios))
+        if ratios[worst] <= rho * (1.0 + 1e-12):
+            y = y + origin
+            return y, float(np.max(np.linalg.norm(C - y, axis=1) / R)) - 1.0
+        work = support + [worst]
+    raise NonConvergenceError(
+        f"min-max active set did not settle within {_MINMAX_MAX_ROUNDS} rounds"
+    )
 
 
 def minmax_meb(

@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 
 from mebagg import (
+    Ball,
+    CandidateBalls,
     ConflictingZeroRadiusError,
     InvalidFaultBudgetError,
     ResilienceViolationError,
     TooManySubsetsError,
     candidate_balls,
     coordwise_median,
+    dist_to_hull,
     geometric_median,
     mda,
     mean_aggregate,
     medoid,
     medoid_counterexample,
     minmax_meb,
+    random_instance,
     run_rule,
     solve_minmax,
     tangent_unit_balls,
@@ -257,11 +261,49 @@ def test_minmax_conflicting_zero_radius():
 
 
 def test_solve_minmax_tangent_balls_inner_value():
-    y, value = solve_minmax(tangent_unit_balls(2))
-    assert abs(value - 1 / (3 + 2 * math.sqrt(3))) <= 1e-9
-    assert np.linalg.norm(y) <= 1e-6  # optimum at the simplex centroid
-    y, value = solve_minmax(tangent_unit_balls(3))
-    assert abs(value - 2 / (4 + math.sqrt(24))) <= 1e-9
+    # k=2: 1/(3 + 2*sqrt(3)); k=3: 2/(4 + sqrt(24))
+    for k in (2, 3, 4, 5):
+        y, value = solve_minmax(tangent_unit_balls(k))
+        assert abs(value - (k - 1) / (k + 1 + math.sqrt(2 * (k + 1) * k))) <= 1e-9
+        assert np.linalg.norm(y) <= 1e-6  # optimum at the simplex centroid
+
+
+def _assert_minmax_certificate(balls, y, value):
+    """The returned value is g(y), and 0 lies in the subdifferential of g at
+    y, which holds exactly when y is in the hull of the tight centers."""
+    C, R = balls.centers(), balls.radii()
+    ratios = np.linalg.norm(C - y, axis=1) / R
+    assert abs(ratios.max() - 1.0 - value) <= 1e-12 * (1.0 + ratios.max())
+    # a tiny ball's ratio carries rounding of order eps * max(R)/min(R)
+    tight = ratios >= ratios.max() * (1.0 - 1e-9 - 1e-11 * R.max() / R.min())
+    assert dist_to_hull(y, C[tight]) <= 1e-7
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_solve_minmax_optimality_certificate_any_dimension(d):
+    # the grid oracle stops at d = 3; the subgradient certificate does not
+    rng = np.random.default_rng(700 + d)
+    for layout in ("generic", "coincident", "collinear", "tiny"):
+        for _ in range(6):
+            b = int(rng.integers(3, 25))
+            centers = rng.normal(size=(b, d)) * 2
+            radii = rng.uniform(0.05, 2.0, size=b)
+            if layout == "coincident":
+                centers = centers[rng.integers(0, b // 3, size=b)]
+            elif layout == "collinear":
+                centers = np.outer(rng.normal(size=b), rng.normal(size=d))
+            elif layout == "tiny":
+                # a radius-1e-9 ball beside the segment between two others
+                centers[0] = centers[1:3].mean(axis=0) + 1e-10 * rng.normal(size=d)
+                radii[0] = 1e-9
+            balls = CandidateBalls.from_balls(
+                Ball(c, float(r)) for c, r in zip(centers, radii)
+            )
+            _assert_minmax_certificate(balls, *solve_minmax(balls))
+    for seed in range(3):
+        inst = random_instance(d + 4, 2, d, seed=seed)
+        balls = candidate_balls(inst.points, 2)
+        _assert_minmax_certificate(balls, *solve_minmax(balls))
 
 
 def test_minmax_achieved_value_respects_proven_bound(rng):

@@ -154,6 +154,21 @@ def test_certify_center_passes(runner, tmp_path):
     assert json.loads(result.output)["achieved_factor"] <= 1e-9
 
 
+def test_certify_labeled_coincident_honest_points(runner, tmp_path):
+    # a zero-radius honest ball: the reported factor is the c-meb
+    # certificate's, whose tolerance scales with the coordinates
+    path = tmp_path / "p.csv"
+    path.write_text("1000,1000,honest\n" * 3 + "5000,5000,byz\n")
+    result = runner.invoke(
+        main, ["certify", str(path), "--y=1000.00000001,1000", "--c=1.5", "-t", "1"]
+    )
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    c_meb = {c["condition"]: c for c in report["certificates"]}["c-meb(c=1.5)"]
+    assert c_meb["pass"]
+    assert report["achieved_factor"] == c_meb["achieved"] == 0.0
+
+
 def test_certify_unlabeled_worst_case(runner, tmp_path):
     path = write_interval_csv(tmp_path)
     result = runner.invoke(main, ["certify", str(path), "--y", "1", "-t", "1"])
