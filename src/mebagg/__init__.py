@@ -41,7 +41,13 @@ from .geometry import (
     soddy_inner_bend,
     trusted_box,
 )
-from .oracle import exhaustive_factor, grid_minmax, meb_bruteforce, worst_designation
+from .oracle import (
+    candidate_balls_bruteforce,
+    exhaustive_factor,
+    grid_minmax,
+    meb_bruteforce,
+    worst_designation,
+)
 from .pointset import BYZANTINE, HONEST, PointSet
 from .scenarios import (
     ScenarioInstance,

@@ -22,14 +22,14 @@ from .errors import (
     ResilienceViolationError,
     TooManySubsetsError,
 )
-from .geometry import Ball, circumball, meb
+from .geometry import Ball
 from .pointset import as_points
 
 MAX_SUBSETS = 2_000_000
 
-# Instances small enough for the vectorized all-subset MEB path.
-_FAST_ENUM_N = 16
-_FAST_ENUM_D = 6
+# Support sets solved per batch: each batch holds a few rows x n x d arrays,
+# so this element budget bounds the working memory at any n.
+_SUPPORT_CHUNK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,12 @@ class AggregateResult:
 
 @dataclass(frozen=True)
 class CandidateBalls:
-    """MEBs of all size-(n-t) subsets, in lexicographic subset order.
+    """The distinct MEBs of the size-(n-t) subsets, one witness subset each.
 
-    ``subsets`` is None when the balls were supplied directly rather than
-    derived from a point set.
+    ``subsets[i]`` is the lexicographically smallest size-(n-t) subset whose
+    MEB is ``balls[i]``, and the balls are ordered by witness. ``subsets`` is
+    None when the balls were supplied directly rather than derived from a
+    point set.
     """
 
     balls: tuple[Ball, ...]
@@ -83,74 +85,102 @@ class CandidateBalls:
         return np.array([b.radius for b in self.balls])
 
 
-def _check_budget(n: int, t: int, max_subsets: int) -> int:
+def _check_budget(n: int, t: int, max_subsets: int, sizes) -> None:
+    """Reject t outside [0, n), and more than ``max_subsets`` subsets of
+    range(n) to enumerate over the given subset sizes."""
     if t < 0 or t >= n:
         raise InvalidFaultBudgetError(f"need 0 <= t < n, got t={t}, n={n}")
-    count = math.comb(n, n - t)
+    count = sum(math.comb(n, k) for k in sizes)
     if count > max_subsets:
         raise TooManySubsetsError(
-            f"C({n},{n - t}) = {count} subsets exceeds the cap of {max_subsets}"
+            f"{count} subsets of {n} points (sizes {list(sizes)}) exceed the cap of {max_subsets}"
         )
-    return count
 
 
-def _candidate_balls_enumerated(pts: np.ndarray, t: int) -> list[Ball]:
-    n = pts.shape[0]
-    return [meb(pts[list(sub)]) for sub in itertools.combinations(range(n), n - t)]
-
-
-def _candidate_balls_fast(pts: np.ndarray, t: int) -> list[Ball]:
-    """All subset MEBs at once via support-set enumeration.
-
-    Any subset's MEB is the smallest circumball whose support points belong
-    to the subset and which covers the subset; enumerating every support
-    candidate of the full set once lets all C(n, n-t) answers be read off
-    with bitmask filtering.
-    """
-    n, d = pts.shape
-    cand_centers, cand_radii, cand_support = [], [], []
-    for k in range(1, d + 2):
-        for sub in itertools.combinations(range(n), k):
-            ball = circumball(pts[list(sub)])
-            cand_centers.append(ball.center)
-            cand_radii.append(ball.radius)
-            cand_support.append(sum(1 << i for i in sub))
-    C = np.array(cand_centers)
-    R = np.array(cand_radii)
-    sup = np.array(cand_support, dtype=np.int64)
-    order = np.argsort(R, kind="stable")
-    C, R, sup = C[order], R[order], sup[order]
-
-    scale = 1.0 + float(np.abs(pts).max())
-    dists = np.linalg.norm(pts[None, :, :] - C[:, None, :], axis=2)
-    inside = dists <= (R[:, None] * (1 + 1e-12) + 1e-12 * scale)
-    contains = (inside.astype(np.int64) << np.arange(n, dtype=np.int64)).sum(axis=1)
-
-    balls = []
-    for sub in itertools.combinations(range(n), n - t):
-        mask = sum(1 << i for i in sub)
-        valid = ((sup & ~mask) == 0) & ((~contains & mask) == 0)
-        idx = int(np.argmax(valid))
-        if not valid[idx]:  # numerically possible only in pathological cases
-            balls.append(meb(pts[list(sub)]))
-            continue
-        sub_pts = pts[list(sub)]
-        radius = float(np.max(np.linalg.norm(sub_pts - C[idx], axis=1)))
-        balls.append(Ball(C[idx], radius))
-    return balls
+def _index_chunks(n: int, k: int, rows: int):
+    """The k-subsets of range(n) in lexicographic order, ``rows`` at a time."""
+    combos = itertools.combinations(range(n), k)
+    while True:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, rows)), dtype=np.intp
+        )
+        if flat.size == 0:
+            return
+        yield flat.reshape(-1, k)
 
 
 def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> CandidateBalls:
-    """MEB of every size-(n-t) subset, keyed by lexicographic subset order."""
+    """The distinct MEBs of the size-(n-t) subsets, each with its
+    lexicographically smallest witness subset, ordered by witness.
+
+    Every MEB(T) is the circumball B_S of a support S of at most d+1
+    affinely independent points whose circumcenter lies in conv(S), and
+    conversely any T with S in T inside B_S has MEB(T) = B_S. So the balls
+    come from the supports alone: a support counts when its circumcenter has
+    non-negative barycentric weights and B_S covers at least n-t points, and
+    its witness is S plus the lowest-index covered points. ``max_subsets``
+    caps the number of supports tried, sum over k <= min(d+1, n-t) of
+    C(n, k). Radii are realized covering radii over the witness, as ``meb``
+    reports them.
+    """
     pts = as_points(points)
-    n = pts.shape[0]
-    _check_budget(n, t, max_subsets)
-    if n <= _FAST_ENUM_N and pts.shape[1] <= _FAST_ENUM_D:
-        balls = _candidate_balls_fast(pts, t)
-    else:
-        balls = _candidate_balls_enumerated(pts, t)
-    subsets = tuple(itertools.combinations(range(n), n - t))
-    return CandidateBalls(balls=tuple(balls), subsets=subsets, n=n, t=t)
+    n, d = pts.shape
+    m = n - t
+    sizes = range(1, min(d + 1, m) + 1)
+    _check_budget(n, t, max_subsets, sizes)
+    # a local origin keeps the circumcenter solves well scaled at any offset
+    origin = pts.mean(axis=0)
+    P = pts - origin
+    slack = 1e-12 * float(np.abs(P).max())
+    rows = max(1, _SUPPORT_CHUNK_ELEMS // (n * d))
+    centers, radii, witnesses = [], [], []
+    for k in sizes:
+        for S in _index_chunks(n, k, rows):
+            base = P[S[:, 0]]
+            c = base
+            if k > 1:
+                # circumcenter c = base + V^T beta with G beta = |v_i|^2 / 2
+                V = P[S[:, 1:]] - base[:, None, :]
+                G = V @ V.transpose(0, 2, 1)
+                b = 0.5 * np.einsum("sij,sij->si", V, V)
+                # full rank by the Hadamard ratio det(G) / prod(G_ii): 1 for
+                # orthogonal rows, 0 for dependent ones
+                floor = (k - 1) * np.finfo(float).eps * np.prod(2.0 * b, axis=1)
+                ok = np.linalg.det(G) > floor
+                G[~ok] = np.eye(k - 1)
+                beta = np.linalg.solve(G, b[..., None])[..., 0]
+                ok &= (beta >= -1e-12).all(axis=1) & (beta.sum(axis=1) <= 1.0 + 1e-12)
+                S, base, beta, V = S[ok], base[ok], beta[ok], V[ok]
+                c = base + np.einsum("si,sid->sd", beta, V)
+            r = np.linalg.norm(c - base, axis=1)
+            # direct distances: the Gram expansion loses coincident points
+            diff = P[None, :, :] - c[:, None, :]
+            reach = (1.0 + 1e-12) * r + slack
+            covered = np.einsum("snd,snd->sn", diff, diff) <= (reach * reach)[:, None]
+            ok = covered.sum(axis=1) >= m
+            if not ok.any():
+                continue
+            in_s = np.zeros((int(ok.sum()), n), dtype=bool)
+            np.put_along_axis(in_s, S[ok], True, axis=1)
+            extra = covered[ok] & ~in_s
+            extra &= np.cumsum(extra, axis=1) <= m - k
+            witnesses.append(np.nonzero(in_s | extra)[1].reshape(-1, m))
+            centers.append(c[ok])
+            radii.append(r[ok])
+    if not centers:
+        raise NonConvergenceError("no support set passed its enclosing-ball checks")
+    C, R, W = np.concatenate(centers), np.concatenate(radii), np.concatenate(witnesses)
+    # one ball per 12-digit key, as solve_minmax collapses them; taking the
+    # first in witness order keeps the lexicographically smallest witness
+    order = np.lexsort(W.T[::-1])
+    keyed = np.round(np.column_stack([C[order] + origin, R[order]]), 12)
+    _, first = np.unique(keyed, axis=0, return_index=True)
+    keep = order[np.sort(first)]
+    C, W = C[keep], W[keep]
+    realized = np.linalg.norm(P[W] - C[:, None, :], axis=2).max(axis=1)
+    balls = tuple(Ball(c + origin, r) for c, r in zip(C, realized))
+    subsets = tuple(tuple(int(i) for i in w) for w in W)
+    return CandidateBalls(balls=balls, subsets=subsets, n=n, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +205,8 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
     diameter; ties go to the lexicographically smallest index set."""
     pts = as_points(points)
     n = pts.shape[0]
-    _check_budget(n, t, max_subsets)
     m = n - t
+    _check_budget(n, t, max_subsets, [m])
     dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     if m == 1:
         best_sub = (0,)

@@ -216,7 +216,9 @@ def dist_to_hull(
     v = as_vector(y, pts.shape[1])
     n = pts.shape[0]
     scale = 1.0 + float(np.max(np.linalg.norm(pts - v, axis=1)))
-    gap_tol = (tol * scale) ** 2
+    # the gap is a difference of products of size scale^2, so it cannot
+    # settle below a few ulps of that, however small tol is
+    gap_tol = max((tol * scale) ** 2, 8.0 * np.finfo(float).eps * scale**2)
 
     # start at the nearest vertex
     d0 = np.linalg.norm(pts - v, axis=1)
@@ -265,6 +267,15 @@ def dist_to_hull(
             )
     dist = float(np.linalg.norm(x - v))
     return (dist, x) if return_witness else dist
+
+
+def sample_in_ball(rng: np.random.Generator, d: int, radius: float) -> np.ndarray:
+    """Uniform draw from the d-ball of the given radius about the origin."""
+    direction = rng.normal(size=d)
+    norm = np.linalg.norm(direction)
+    if norm == 0:
+        return np.zeros(d)
+    return direction / norm * radius * rng.random() ** (1.0 / d)
 
 
 def trusted_box(points) -> TrustedBox:

@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from .aggregate import CandidateBalls, candidate_balls
+from .aggregate import MAX_SUBSETS, CandidateBalls, _check_budget, candidate_balls
 from .errors import InstanceTooLargeError, MebaggError
-from .geometry import Ball, circumball
+from .geometry import Ball, circumball, meb
 from .pointset import as_points, as_vector
 
 BRUTEFORCE_MAX_N = 12
@@ -53,6 +53,22 @@ def meb_bruteforce(points) -> Ball:
                     best = Ball(ball.center, realized)
     assert best is not None  # k=1..: singletons always exist; full cover found
     return best
+
+
+def candidate_balls_bruteforce(
+    points, t: int, *, max_subsets: int = MAX_SUBSETS
+) -> CandidateBalls:
+    """MEB of every size-(n-t) subset, in lexicographic subset order.
+
+    The reference for ``candidate_balls``: one ``meb`` per subset, duplicates
+    kept, so ``subsets`` lists every subset.
+    """
+    pts = as_points(points)
+    n = pts.shape[0]
+    _check_budget(n, t, max_subsets, [n - t])
+    subsets = tuple(itertools.combinations(range(n), n - t))
+    balls = tuple(meb(pts[list(s)]) for s in subsets)
+    return CandidateBalls(balls=balls, subsets=subsets, n=n, t=t)
 
 
 def _ball_arrays(balls) -> tuple[np.ndarray, np.ndarray]:

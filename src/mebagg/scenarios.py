@@ -14,7 +14,7 @@ import numpy as np
 
 from .aggregate import AggregateResult, CandidateBalls, RULES
 from .errors import InvalidParamsError, MebaggError
-from .geometry import Ball, meb
+from .geometry import Ball, meb, sample_in_ball
 from .pointset import BYZANTINE, HONEST, PointSet
 
 ATTACK_STARTS = 200
@@ -307,17 +307,9 @@ def tangent_unit_balls(k: int) -> CandidateBalls:
 # random instances and attacks
 
 
-def _sample_in_ball(rng: np.random.Generator, d: int, radius: float) -> np.ndarray:
-    direction = rng.normal(size=d)
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        return np.zeros(d)
-    return direction / norm * radius * rng.random() ** (1.0 / d)
-
-
 def _byz_uniform_far(rng, t, d, spread):
     return np.array(
-        [_sample_in_ball(rng, d, 1.0) * rng.uniform(2.0, 6.0) * spread for _ in range(t)]
+        [sample_in_ball(rng, d, 1.0) * rng.uniform(2.0, 6.0) * spread for _ in range(t)]
     )
 
 
@@ -356,7 +348,7 @@ def random_instance(
     if strategy not in STRATEGIES:
         raise InvalidParamsError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     rng = np.random.default_rng(seed)
-    honest = np.array([_sample_in_ball(rng, d, spread) for _ in range(n - t)])
+    honest = np.array([sample_in_ball(rng, d, spread) for _ in range(n - t)])
     if t == 0:
         byz = np.zeros((0, d))
     elif strategy == "uniform-far":

@@ -18,7 +18,7 @@ from .errors import (
     ResilienceViolationError,
     ZeroRadiusError,
 )
-from .geometry import Ball, diameter, dist_to_ball, dist_to_hull, meb, trusted_box
+from .geometry import Ball, diameter, dist_to_ball, dist_to_hull, meb, sample_in_ball, trusted_box
 from .pointset import as_points, as_vector
 
 ABS_TOL = 1e-9
@@ -228,16 +228,6 @@ def _sample_hull_point(rng: np.random.Generator, pts: np.ndarray) -> np.ndarray:
     return w @ pts
 
 
-def _sample_in_ball(rng: np.random.Generator, center: np.ndarray, radius: float) -> np.ndarray:
-    d = center.size
-    direction = rng.normal(size=d)
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        return center.copy()
-    direction /= norm
-    return center + direction * radius * rng.random() ** (1.0 / d)
-
-
 def relation_check(
     relation: str,
     honest,
@@ -283,7 +273,7 @@ def relation_check(
         return RelationReport(relation, v, dist, bound, dist <= bound + tol)
 
     if relation == "cmeb-implies-relaxed-convex":
-        v = _sample_in_ball(rng, ball.center, c * ball.radius) if y is None else as_vector(y, d)
+        v = ball.center + sample_in_ball(rng, d, c * ball.radius) if y is None else as_vector(y, d)
         achieved = float(np.max(np.linalg.norm(pts - v, axis=1)))
         bound = (c + 1.0) * ball.radius
         return RelationReport(
@@ -298,7 +288,7 @@ def relation_check(
         return RelationReport(relation, ball.center, 0.0, 0.0, True, {"skipped": "diam=0"})
     if y is None:
         base = _sample_hull_point(rng, pts)
-        v = _sample_in_ball(rng, base, delta)
+        v = base + sample_in_ball(rng, d, delta)
     else:
         v = as_vector(y, d)
     dist = float(np.linalg.norm(v - ball.center))

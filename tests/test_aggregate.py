@@ -11,9 +11,11 @@ from mebagg import (
     ResilienceViolationError,
     TooManySubsetsError,
     candidate_balls,
+    candidate_balls_bruteforce,
     coordwise_median,
     dist_to_hull,
     geometric_median,
+    lower_bound_construction,
     mda,
     mean_aggregate,
     medoid,
@@ -23,6 +25,7 @@ from mebagg import (
     run_rule,
     solve_minmax,
     tangent_unit_balls,
+    worst_designation,
 )
 from conftest import random_cloud, random_rotation
 
@@ -203,9 +206,75 @@ def test_candidate_balls_t0_single():
     assert np.allclose(balls.balls[0].center, ball.center, atol=1e-9)
 
 
+def _distinct_keys(balls):
+    keyed = np.round(np.column_stack([balls.centers(), balls.radii()]), 12)
+    return np.unique(keyed, axis=0)
+
+
 def test_candidate_balls_count():
     pts = random_cloud(np.random.default_rng(4), 5, 2)
-    assert len(candidate_balls(pts, 2)) == 10
+    reference = candidate_balls_bruteforce(pts, 2)
+    assert len(reference) == 10
+    assert len(candidate_balls(pts, 2)) == len(_distinct_keys(reference))
+
+
+def _agreement_cases():
+    shapes = [(6, 2, 1), (9, 3, 2), (12, 4, 3), (10, 2, 5), (20, 2, 3), (14, 2, 8), (20, 1, 8)]
+    for n, t, d in shapes:
+        pts = random_instance(n, t, d, seed=n + d).points.points
+        yield pytest.param(pts, t, id=f"random-{n}-{t}-{d}")
+    for d, t in [(2, 3), (3, 3), (3, 4)]:
+        pts = lower_bound_construction(d, t).points.points
+        yield pytest.param(pts, t, id=f"lower-bound-{d}-{t}")
+    yield pytest.param(medoid_counterexample(4, 10.0).points.points, 4, id="medoid-ce-4")
+    rng = np.random.default_rng(41)
+    # integer grids repeat points, so several subsets share one ball
+    yield pytest.param(rng.integers(0, 3, size=(10, 2)).astype(float), 3, id="grid-2d")
+    yield pytest.param(rng.integers(0, 2, size=(12, 3)).astype(float), 4, id="grid-3d")
+    # each tripled point is a zero-radius candidate, which the Gram expansion
+    # of the distances misses for these seeds
+    for seed in (0, 1):
+        tripled = np.repeat(np.random.default_rng(seed).normal(size=(3, 3)), 3, axis=0)
+        yield pytest.param(tripled, 6, id=f"tripled-{seed}")
+
+
+@pytest.mark.parametrize("pts,t", list(_agreement_cases()))
+def test_candidate_balls_agree_with_subset_oracle(pts, t):
+    from mebagg import meb
+
+    balls = candidate_balls(pts, t)
+    reference = candidate_balls_bruteforce(pts, t)
+    got, want = _distinct_keys(balls), _distinct_keys(reference)
+    assert len(balls) == len(got) == len(want)
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+    assert list(balls.subsets) == sorted(balls.subsets)
+    ref_centers, ref_radii = reference.centers(), reference.radii()
+    for sub, ball in zip(balls.subsets, balls.balls):
+        direct = meb(pts[list(sub)])
+        assert math.isclose(ball.radius, direct.radius, rel_tol=1e-9, abs_tol=1e-12)
+        assert np.allclose(ball.center, direct.center, atol=1e-9)
+        # the witness is the first subset, in lexicographic order, with this MEB
+        same = np.all(np.abs(ref_centers - ball.center) <= 1e-9, axis=1) & np.isclose(
+            ref_radii, ball.radius, rtol=1e-9, atol=1e-12
+        )
+        assert same.any() and sub == reference.subsets[int(np.argmax(same))]
+    # a generic y, so distinct balls do not tie on the worst ratio
+    y = pts.mean(axis=0) + np.random.default_rng(5).normal(size=pts.shape[1]) * pts.std()
+    factor, witness = worst_designation(pts, t, y, balls=balls)
+    ref_factor, ref_witness = worst_designation(pts, t, y, balls=reference)
+    assert math.isclose(factor, ref_factor, rel_tol=1e-10)
+    assert witness == ref_witness
+
+
+def test_candidate_balls_cap_counts_support_sets():
+    # C(40, 25) is about 4e10 subsets, but only 10 700 supports of <= 3 points
+    pts = random_cloud(np.random.default_rng(40), 40, 2)
+    balls = candidate_balls(pts, 15)
+    assert len(balls) > 0
+    assert all(len(sub) == 25 for sub in balls.subsets)
+    # t = 0 has a single subset but about 3.4e8 supports of <= 4 points
+    with pytest.raises(TooManySubsetsError):
+        candidate_balls(np.zeros((300, 3)), 0)
 
 
 def test_candidate_balls_fast_path_matches_direct_meb(rng):

@@ -278,3 +278,13 @@ def test_soddy_argument_validation():
 def test_soddy_identity_property(k, b):
     bend = soddy_inner_bend([b] * (k + 1), k)
     assert soddy_identity_gap([b] * (k + 1), k, bend) < 1e-6 * (1 + bend * bend)
+
+
+def test_dist_to_hull_tight_tol_on_segment():
+    # a gap below its own rounding level must not run out the iterations
+    rng = np.random.default_rng(17)
+    for d in range(2, 9):
+        for _ in range(20):
+            pts = rng.normal(size=(2, d))
+            y = pts[0] + rng.random() * (pts[1] - pts[0])
+            assert dist_to_hull(y, pts, tol=1e-9) <= 1e-12
