@@ -22,7 +22,7 @@ from .errors import (
     ResilienceViolationError,
     TooManySubsetsError,
 )
-from .geometry import Ball
+from .geometry import Ball, meb
 from .pointset import as_points
 
 MAX_SUBSETS = 2_000_000
@@ -30,6 +30,11 @@ MAX_SUBSETS = 2_000_000
 # Support sets solved per batch: each batch holds a few rows x n x d arrays,
 # so this element budget bounds the working memory at any n.
 _SUPPORT_CHUNK_ELEMS = 1 << 16
+
+# One ``meb`` call costs about as much as this many batched support-set
+# checks (measured ratios run from a few hundred to a few thousand, growing
+# with n); candidate_balls enumerates subsets when that makes them cheaper.
+_MEB_COST_IN_SUPPORTS = 1000
 
 
 @dataclass(frozen=True)
@@ -85,16 +90,15 @@ class CandidateBalls:
         return np.array([b.radius for b in self.balls])
 
 
-def _check_budget(n: int, t: int, max_subsets: int, sizes) -> None:
-    """Reject t outside [0, n), and more than ``max_subsets`` subsets of
-    range(n) to enumerate over the given subset sizes."""
+def _check_fault_budget(n: int, t: int) -> None:
     if t < 0 or t >= n:
         raise InvalidFaultBudgetError(f"need 0 <= t < n, got t={t}, n={n}")
-    count = sum(math.comb(n, k) for k in sizes)
-    if count > max_subsets:
-        raise TooManySubsetsError(
-            f"{count} subsets of {n} points (sizes {list(sizes)}) exceed the cap of {max_subsets}"
-        )
+
+
+def _ball_keys(centers, radii) -> np.ndarray:
+    """One row per ball, equal exactly when two balls count as the same:
+    center and radius rounded to 12 decimals."""
+    return np.round(np.column_stack([centers, radii]), 12)
 
 
 def _index_chunks(n: int, k: int, rows: int):
@@ -109,32 +113,22 @@ def _index_chunks(n: int, k: int, rows: int):
         yield flat.reshape(-1, k)
 
 
-def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> CandidateBalls:
-    """The distinct MEBs of the size-(n-t) subsets, each with its
-    lexicographically smallest witness subset, ordered by witness.
+def _support_balls(P: np.ndarray, m: int):
+    """(centers, radii, witnesses) of every support set whose circumball is
+    the MEB of some size-m subset of the points P, duplicates kept.
 
     Every MEB(T) is the circumball B_S of a support S of at most d+1
     affinely independent points whose circumcenter lies in conv(S), and
-    conversely any T with S in T inside B_S has MEB(T) = B_S. So the balls
-    come from the supports alone: a support counts when its circumcenter has
-    non-negative barycentric weights and B_S covers at least n-t points, and
-    its witness is S plus the lowest-index covered points. ``max_subsets``
-    caps the number of supports tried, sum over k <= min(d+1, n-t) of
-    C(n, k). Radii are realized covering radii over the witness, as ``meb``
-    reports them.
+    conversely any T with S in T inside B_S has MEB(T) = B_S. So a support
+    counts when its circumcenter has non-negative barycentric weights and
+    B_S covers at least m points, and its witness is S plus the
+    lowest-index covered points.
     """
-    pts = as_points(points)
-    n, d = pts.shape
-    m = n - t
-    sizes = range(1, min(d + 1, m) + 1)
-    _check_budget(n, t, max_subsets, sizes)
-    # a local origin keeps the circumcenter solves well scaled at any offset
-    origin = pts.mean(axis=0)
-    P = pts - origin
+    n, d = P.shape
     slack = 1e-12 * float(np.abs(P).max())
     rows = max(1, _SUPPORT_CHUNK_ELEMS // (n * d))
     centers, radii, witnesses = [], [], []
-    for k in sizes:
+    for k in range(1, min(d + 1, m) + 1):
         for S in _index_chunks(n, k, rows):
             base = P[S[:, 0]]
             c = base
@@ -169,18 +163,66 @@ def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> Candid
             radii.append(r[ok])
     if not centers:
         raise NonConvergenceError("no support set passed its enclosing-ball checks")
-    C, R, W = np.concatenate(centers), np.concatenate(radii), np.concatenate(witnesses)
-    # one ball per 12-digit key, as solve_minmax collapses them; taking the
-    # first in witness order keeps the lexicographically smallest witness
+    return np.concatenate(centers), np.concatenate(radii), np.concatenate(witnesses)
+
+
+def _subset_balls(P: np.ndarray, m: int, origin: np.ndarray):
+    """(centers, radii, witnesses) from one ``meb`` per size-m subset of the
+    points P, in lexicographic order, keeping the first subset of each
+    distinct ball; balls are keyed at their place in the caller's frame,
+    P + origin."""
+    seen = set()
+    centers, radii, witnesses = [], [], []
+    for sub in itertools.combinations(range(P.shape[0]), m):
+        ball = meb(P[list(sub)])
+        key = tuple(_ball_keys(ball.center[None] + origin, [ball.radius])[0])
+        if key not in seen:
+            seen.add(key)
+            centers.append(ball.center)
+            radii.append(ball.radius)
+            witnesses.append(sub)
+    return np.array(centers), np.array(radii), np.array(witnesses, dtype=np.intp)
+
+
+def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> CandidateBalls:
+    """The distinct MEBs of the size-(n-t) subsets, each with its
+    lexicographically smallest witness subset, ordered by witness.
+
+    The balls come from the support sets of at most d+1 points
+    (``_support_balls``), sum over k <= min(d+1, n-t) of C(n, k) of them,
+    or, when the C(n, t) subsets are far fewer, from one ``meb`` per subset
+    (``_subset_balls``); both give the same balls. ``TooManySubsetsError``
+    is raised only when both counts exceed ``max_subsets``, and the subsets
+    are taken whenever only they fit under it. Radii are realized covering
+    radii over the witness, as ``meb`` reports them.
+    """
+    pts = as_points(points)
+    n, d = pts.shape
+    _check_fault_budget(n, t)
+    m = n - t
+    supports = sum(math.comb(n, k) for k in range(1, min(d + 1, m) + 1))
+    subsets = math.comb(n, t)
+    if min(supports, subsets) > max_subsets:
+        raise TooManySubsetsError(
+            f"{subsets} subsets of size {m} and {supports} support sets of {n} points "
+            f"both exceed the cap of {max_subsets}"
+        )
+    # a local origin keeps the solves well scaled at any offset
+    origin = pts.mean(axis=0)
+    P = pts - origin
+    if supports > max_subsets or subsets * _MEB_COST_IN_SUPPORTS < supports:
+        C, R, W = _subset_balls(P, m, origin)
+    else:
+        C, R, W = _support_balls(P, m)
+    # one ball per key; the first in witness order has the smallest witness
     order = np.lexsort(W.T[::-1])
-    keyed = np.round(np.column_stack([C[order] + origin, R[order]]), 12)
-    _, first = np.unique(keyed, axis=0, return_index=True)
+    _, first = np.unique(_ball_keys(C[order] + origin, R[order]), axis=0, return_index=True)
     keep = order[np.sort(first)]
     C, W = C[keep], W[keep]
     realized = np.linalg.norm(P[W] - C[:, None, :], axis=2).max(axis=1)
     balls = tuple(Ball(c + origin, r) for c, r in zip(C, realized))
-    subsets = tuple(tuple(int(i) for i in w) for w in W)
-    return CandidateBalls(balls=balls, subsets=subsets, n=n, t=t)
+    witnesses = tuple(tuple(int(i) for i in w) for w in W)
+    return CandidateBalls(balls=balls, subsets=witnesses, n=n, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +247,13 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
     diameter; ties go to the lexicographically smallest index set."""
     pts = as_points(points)
     n = pts.shape[0]
+    _check_fault_budget(n, t)
     m = n - t
-    _check_budget(n, t, max_subsets, [m])
+    count = math.comb(n, m)
+    if count > max_subsets:
+        raise TooManySubsetsError(
+            f"C({n},{m}) = {count} subsets exceeds the cap of {max_subsets}"
+        )
     dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     if m == 1:
         best_sub = (0,)
@@ -404,8 +451,7 @@ def solve_minmax(balls) -> tuple[np.ndarray, float]:
             "solve_minmax needs strictly positive radii; handle r=0 candidates first"
         )
     # overlapping subsets often share one MEB; collapse the duplicates
-    keyed = np.round(np.column_stack([C, R]), 12)
-    _, uniq_idx = np.unique(keyed, axis=0, return_index=True)
+    _, uniq_idx = np.unique(_ball_keys(C, R), axis=0, return_index=True)
     if uniq_idx.size < C.shape[0]:
         C = C[np.sort(uniq_idx)]
         R = R[np.sort(uniq_idx)]

@@ -65,7 +65,7 @@ def _parse_vector(text: str) -> np.ndarray:
 @click.group()
 @click.option("--tol", type=float, default=1e-9, show_default=True, help="Numeric tolerance for pass/fail checks.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for randomized commands.")
-@click.option("--max-subsets", type=int, default=2_000_000, show_default=True, help="Cap on the support sets enumerated for candidate balls and on the subsets enumerated by mda.")
+@click.option("--max-subsets", type=int, default=2_000_000, show_default=True, help="Cap on the support sets or subsets enumerated for candidate balls (they fail only when both exceed it) and on the subsets enumerated by mda.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True, help="Report format where both are supported.")
 @click.pass_context

@@ -206,7 +206,11 @@ def dist_to_hull(
 
     Solved as min ||Pw - y|| over the simplex of convex weights with a
     pairwise Frank-Wolfe iteration (exact line search). Accurate to roughly
-    ``tol`` in the distance.
+    ``max(tol, sqrt(8 eps)) * scale`` in the distance, with scale = 1 + the
+    largest distance from y to a point and eps the float epsilon: the
+    duality gap that stops the iteration bounds the squared distance, and
+    it cannot settle below a few ulps of scale^2, so below ``tol`` of about
+    4e-8 the floor sets the accuracy.
 
     Parameters
     ----------

@@ -12,13 +12,14 @@ import math
 
 import numpy as np
 
-from .aggregate import MAX_SUBSETS, CandidateBalls, _check_budget, candidate_balls
-from .errors import InstanceTooLargeError, MebaggError
+from .aggregate import CandidateBalls, candidate_balls
+from .errors import InstanceTooLargeError, InvalidFaultBudgetError, MebaggError
 from .geometry import Ball, circumball, meb
 from .pointset import as_points, as_vector
 
 BRUTEFORCE_MAX_N = 12
 BRUTEFORCE_MAX_D = 4
+BRUTEFORCE_MAX_SUBSETS = 100_000
 GRID_MAX_D = 3
 GRID_MAX_CELLS = 100_000_000
 
@@ -55,9 +56,7 @@ def meb_bruteforce(points) -> Ball:
     return best
 
 
-def candidate_balls_bruteforce(
-    points, t: int, *, max_subsets: int = MAX_SUBSETS
-) -> CandidateBalls:
+def candidate_balls_bruteforce(points, t: int) -> CandidateBalls:
     """MEB of every size-(n-t) subset, in lexicographic subset order.
 
     The reference for ``candidate_balls``: one ``meb`` per subset, duplicates
@@ -65,7 +64,13 @@ def candidate_balls_bruteforce(
     """
     pts = as_points(points)
     n = pts.shape[0]
-    _check_budget(n, t, max_subsets, [n - t])
+    if t < 0 or t >= n:
+        raise InvalidFaultBudgetError(f"need 0 <= t < n, got t={t}, n={n}")
+    if math.comb(n, t) > BRUTEFORCE_MAX_SUBSETS:
+        raise InstanceTooLargeError(
+            f"brute-force candidate balls capped at {BRUTEFORCE_MAX_SUBSETS} subsets; "
+            f"got C({n},{n - t}) = {math.comb(n, t)}"
+        )
     subsets = tuple(itertools.combinations(range(n), n - t))
     balls = tuple(meb(pts[list(s)]) for s in subsets)
     return CandidateBalls(balls=balls, subsets=subsets, n=n, t=t)

@@ -27,6 +27,8 @@ from mebagg import (
     tangent_unit_balls,
     worst_designation,
 )
+from mebagg import aggregate
+from mebagg.aggregate import _ball_keys
 from conftest import random_cloud, random_rotation
 
 # ---------------------------------------------------------------------------
@@ -207,8 +209,7 @@ def test_candidate_balls_t0_single():
 
 
 def _distinct_keys(balls):
-    keyed = np.round(np.column_stack([balls.centers(), balls.radii()]), 12)
-    return np.unique(keyed, axis=0)
+    return np.unique(_ball_keys(balls.centers(), balls.radii()), axis=0)
 
 
 def test_candidate_balls_count():
@@ -236,12 +237,19 @@ def _agreement_cases():
     for seed in (0, 1):
         tripled = np.repeat(np.random.default_rng(seed).normal(size=(3, 3)), 3, axis=0)
         yield pytest.param(tripled, 6, id=f"tripled-{seed}")
+    # few subsets next to the supports: the subset enumeration by default
+    for n, t, d in [(40, 1, 3), (25, 0, 4)]:
+        pts = random_instance(n, max(t, 1), d, seed=n + d).points.points
+        yield pytest.param(pts, t, id=f"random-{n}-{t}-{d}")
 
 
+# a zero meb cost takes the subset enumeration, an infinite one the supports
+@pytest.mark.parametrize("meb_cost", [0, math.inf], ids=["subsets", "supports"])
 @pytest.mark.parametrize("pts,t", list(_agreement_cases()))
-def test_candidate_balls_agree_with_subset_oracle(pts, t):
+def test_candidate_balls_agree_with_subset_oracle(pts, t, meb_cost, monkeypatch):
     from mebagg import meb
 
+    monkeypatch.setattr(aggregate, "_MEB_COST_IN_SUPPORTS", meb_cost)
     balls = candidate_balls(pts, t)
     reference = candidate_balls_bruteforce(pts, t)
     got, want = _distinct_keys(balls), _distinct_keys(reference)
@@ -272,9 +280,20 @@ def test_candidate_balls_cap_counts_support_sets():
     balls = candidate_balls(pts, 15)
     assert len(balls) > 0
     assert all(len(sub) == 25 for sub in balls.subsets)
+
+
+def test_candidate_balls_small_t_enumerates_subsets():
+    from mebagg import meb
+
     # t = 0 has a single subset but about 3.4e8 supports of <= 4 points
-    with pytest.raises(TooManySubsetsError):
-        candidate_balls(np.zeros((300, 3)), 0)
+    pts = random_cloud(np.random.default_rng(41), 300, 3)
+    balls = candidate_balls(pts, 0)
+    assert len(balls) == 1 and balls.subsets == (tuple(range(300)),)
+    direct = meb(pts)
+    assert math.isclose(balls.balls[0].radius, direct.radius, rel_tol=1e-12)
+    # 40 subsets fit under a cap that the 10 700 supports exceed
+    pts = random_cloud(np.random.default_rng(42), 40, 2)
+    assert len(candidate_balls(pts, 1, max_subsets=100)) > 0
 
 
 def test_candidate_balls_fast_path_matches_direct_meb(rng):

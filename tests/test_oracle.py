@@ -5,7 +5,9 @@ import pytest
 
 from mebagg import (
     InstanceTooLargeError,
+    InvalidFaultBudgetError,
     candidate_balls,
+    candidate_balls_bruteforce,
     exhaustive_factor,
     grid_minmax,
     meb,
@@ -79,6 +81,14 @@ def test_grid_dimension_cap():
     cb = CandidateBalls.from_balls([Ball(np.zeros(4), 1.0)])
     with pytest.raises(InstanceTooLargeError):
         grid_minmax(cb, resolution=10)
+
+
+def test_candidate_balls_bruteforce_limits():
+    with pytest.raises(InvalidFaultBudgetError):
+        candidate_balls_bruteforce(np.zeros((3, 1)), 3)
+    # C(40, 20) is about 1.4e11 subsets
+    with pytest.raises(InstanceTooLargeError):
+        candidate_balls_bruteforce(np.zeros((40, 1)), 20)
 
 
 def test_solver_agrees_with_grid_random(rng):
