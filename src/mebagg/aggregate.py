@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (
     TooManySubsetsError,
 )
 from .geometry import Ball, meb
-from .pointset import as_points
+from .pointset import as_points, as_vector
 
 MAX_SUBSETS = 2_000_000
 
@@ -75,6 +76,9 @@ class CandidateBalls:
 
     @classmethod
     def from_balls(cls, balls) -> "CandidateBalls":
+        """Wrap an iterable of balls; a CandidateBalls is returned unchanged."""
+        if isinstance(balls, CandidateBalls):
+            return balls
         return cls(balls=tuple(balls))
 
     def __len__(self) -> int:
@@ -83,11 +87,39 @@ class CandidateBalls:
     def __iter__(self):
         return iter(self.balls)
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        C = np.array([b.center for b in self.balls])
+        R = np.array([b.radius for b in self.balls])
+        C.setflags(write=False)
+        R.setflags(write=False)
+        return C, R
+
     def centers(self) -> np.ndarray:
-        return np.array([b.center for b in self.balls])
+        return self._arrays[0]
 
     def radii(self) -> np.ndarray:
-        return np.array([b.radius for b in self.balls])
+        return self._arrays[1]
+
+    def ratios(self, y) -> np.ndarray:
+        """||y - c|| / r for every ball: at most 1 inside, above 1 outside.
+
+        A zero-radius ball (``_zero_radius``) scores 0 when y lies within
+        1e-9 * (1 + largest center coordinate) of its center, and infinity
+        otherwise.
+        """
+        C, R = self._arrays
+        dist = np.linalg.norm(C - as_vector(y, C.shape[1]), axis=1)
+        zero = _zero_radius(C, R)
+        if not zero.any():
+            return dist / R
+        miss = dist > 1e-9 * (1.0 + float(np.abs(C).max()))
+        return np.where(zero, np.where(miss, math.inf, 0.0), dist / np.where(zero, 1.0, R))
+
+
+def _zero_radius(C: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Mask of the balls with r <= 1e-12 * (1 + largest center coordinate)."""
+    return R <= 1e-12 * (1.0 + float(np.abs(C).max()))
 
 
 def _check_fault_budget(n: int, t: int) -> None:
@@ -326,6 +358,7 @@ def geometric_median(
         return (1.0 - lam) * target + lam * vertex
 
     y = pts.mean(axis=0)
+    resolved = set()
     for _ in range(max_iter):
         dist = np.linalg.norm(pts - y, axis=1)
         nearest = int(np.argmin(dist))
@@ -338,8 +371,10 @@ def geometric_median(
             w = 1.0 / dist
             y_new = (pts * w[:, None]).sum(axis=0) / w.sum()
         if np.linalg.norm(y_new - y) <= tol * scale:
-            # settled; if hugging a data point, resolve the vertex exactly
-            if dist[nearest] <= 1e-5 * scale:
+            # settled; if hugging a data point, resolve the vertex exactly,
+            # once: stepping off it again would retrace the same path
+            if dist[nearest] <= 1e-5 * scale and nearest not in resolved:
+                resolved.add(nearest)
                 stepped = vertex_step(pts[nearest])
                 if stepped is None:
                     return AggregateResult(output=pts[nearest], rule="geomedian")
@@ -435,21 +470,18 @@ def solve_minmax(balls) -> tuple[np.ndarray, float]:
     working set by the optimal support plus the worst violator. The working
     set never exceeds d+2 balls and its optimum strictly rises each round.
 
-    All radii must be positive; zero-radius candidates are resolved by the
-    caller before the solve.
+    Zero-radius balls (``CandidateBalls.ratios``) pin the answer: the first
+    one's center is returned with the value its ratios give, which is
+    infinite when zero-radius centers disagree.
     """
-    if isinstance(balls, CandidateBalls):
-        C, R = balls.centers(), balls.radii()
-    else:
-        blist = list(balls)
-        C = np.array([b.center for b in blist])
-        R = np.array([b.radius for b in blist])
-    if C.size == 0:
+    cb = CandidateBalls.from_balls(balls)
+    if not len(cb):
         raise EmptyInputError("no candidate balls to solve over")
-    if np.any(R <= 0):
-        raise ConflictingZeroRadiusError(
-            "solve_minmax needs strictly positive radii; handle r=0 candidates first"
-        )
+    C, R = cb.centers(), cb.radii()
+    zero = _zero_radius(C, R)
+    if zero.any():
+        y = C[zero][0]
+        return y, float(cb.ratios(y).max()) - 1.0
     # overlapping subsets often share one MEB; collapse the duplicates
     _, uniq_idx = np.unique(_ball_keys(C, R), axis=0, return_index=True)
     if uniq_idx.size < C.shape[0]:
@@ -475,7 +507,7 @@ def solve_minmax(balls) -> tuple[np.ndarray, float]:
         worst = int(np.argmax(ratios))
         if ratios[worst] <= rho * (1.0 + 1e-12):
             y = y + origin
-            return y, float(np.max(np.linalg.norm(C - y, axis=1) / R)) - 1.0
+            return y, float(cb.ratios(y).max()) - 1.0
         work = support + [worst]
     raise NonConvergenceError(
         f"min-max active set did not settle within {_MINMAX_MAX_ROUNDS} rounds"
@@ -489,15 +521,15 @@ def minmax_meb(
     max_subsets: int = MAX_SUBSETS,
     allow_low_resilience: bool = False,
     balls: CandidateBalls | None = None,
-    tol: float = 1e-9,
 ) -> AggregateResult:
     """Candidate-ball min-max rule.
 
-    If some size-(n-t) subset collapses to a point (zero-radius candidate),
-    that center is returned outright. Otherwise the output minimizes the
-    worst relative distance over all candidate balls; ``achieved_value`` is
-    that worst value clamped at 0, and 1 + achieved_value is the certified
-    relaxation factor.
+    The output minimizes the worst relative distance over all candidate
+    balls; ``achieved_value`` is that worst value clamped at 0, and
+    1 + achieved_value is the certified relaxation factor. If some
+    size-(n-t) subset collapses to a point (zero-radius candidate), that
+    center is returned (see ``solve_minmax``); zero-radius candidates with
+    distinct centers raise ``ConflictingZeroRadiusError``.
 
     Requires an honest majority (n > 2t) unless ``allow_low_resilience`` is
     set, in which case the output carries no guarantee.
@@ -511,21 +543,12 @@ def minmax_meb(
         )
     if balls is None:
         balls = candidate_balls(pts, t, max_subsets=max_subsets)
-    scale = 1.0 + float(np.abs(pts).max())
-    radii = balls.radii()
-    zero = radii <= 1e-12 * scale
-    if zero.any():
-        centers = balls.centers()[zero]
-        spread = float(np.max(np.linalg.norm(centers - centers[0], axis=1)))
-        if spread > tol * scale:
-            raise ConflictingZeroRadiusError(
-                "multiple zero-radius candidates with distinct centers "
-                f"(spread {spread:.3g}); instance violates n > 2t assumptions"
-            )
-        return AggregateResult(
-            output=centers[0], rule="minmax-meb", achieved_value=0.0
-        )
     y, value = solve_minmax(balls)
+    if value == math.inf:
+        raise ConflictingZeroRadiusError(
+            "multiple zero-radius candidates with distinct centers; "
+            "instance violates n > 2t assumptions"
+        )
     return AggregateResult(
         output=y, rule="minmax-meb", achieved_value=max(0.0, value)
     )

@@ -129,18 +129,17 @@ def certify(ctx, input_path, y_text, faults, c_bound, ignore_labels):
         start = time.perf_counter()
         if ps.labels is not None and not ignore_labels:
             honest = ps.honest_points()
+            tol = ctx.obj["tol"]
             # the achieved factor does not depend on c; 1 is the smallest valid c
-            c_meb = check_c_meb(
-                y, honest, 1.0 if c_bound is None else c_bound, tol=ctx.obj["tol"]
-            )
+            c_meb = check_c_meb(y, honest, 1.0 if c_bound is None else c_bound, tol=tol)
             factor = c_meb.achieved
             certificates = [
                 check_convex(y, honest).to_dict(),
-                check_box(y, honest).to_dict(),
+                check_box(y, honest, tol=tol).to_dict(),
             ]
             if c_bound is not None:
                 certificates.insert(0, c_meb.to_dict())
-                certificates.append(check_bias_bound(y, honest, c_bound).to_dict())
+                certificates.append(check_bias_bound(y, honest, c_bound, tol=tol).to_dict())
             mode = "labeled"
             worst = None
         else:

@@ -48,10 +48,6 @@ class Ball:
     def dim(self) -> int:
         return self.center.size
 
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        p = as_vector(point, self.dim)
-        return float(np.linalg.norm(p - self.center)) <= self.radius + tol * (1.0 + self.radius)
-
 
 @dataclass(frozen=True)
 class TrustedBox:
@@ -73,15 +69,6 @@ class TrustedBox:
     @property
     def dim(self) -> int:
         return self.lo.size
-
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        p = as_vector(point, self.dim)
-        return bool(np.all(p >= self.lo - tol) and np.all(p <= self.hi + tol))
-
-    def violation(self, point) -> float:
-        """Largest coordinate-wise excursion outside the box (0 if inside)."""
-        p = as_vector(point, self.dim)
-        return float(max(0.0, np.max(np.maximum(self.lo - p, p - self.hi))))
 
 
 def circumball(points) -> Ball:
@@ -210,7 +197,10 @@ def dist_to_hull(
     largest distance from y to a point and eps the float epsilon: the
     duality gap that stops the iteration bounds the squared distance, and
     it cannot settle below a few ulps of scale^2, so below ``tol`` of about
-    4e-8 the floor sets the accuracy.
+    4e-8 the floor sets the accuracy. When there are at most d+1 points and
+    y lies in their hull, one least-squares solve for y's barycentric
+    weights settles it first: the result is then the solve's residual,
+    within ``tol * scale`` of y.
 
     Parameters
     ----------
@@ -233,6 +223,16 @@ def dist_to_hull(
     if n == 1:
         dist = float(np.linalg.norm(x - v))
         return (dist, x) if return_witness else dist
+
+    if n <= pts.shape[1] + 1:
+        # a simplex: y inside it has non-negative barycentric weights, which
+        # one least-squares solve finds, where Frank-Wolfe crawls
+        V = pts[1:] - pts[0]
+        beta = np.linalg.lstsq(V.T, v - pts[0], rcond=None)[0]
+        inside = pts[0] + beta @ V
+        if (beta >= 0).all() and beta.sum() <= 1.0 and np.linalg.norm(inside - v) <= tol * scale:
+            dist = float(np.linalg.norm(inside - v))
+            return (dist, inside) if return_witness else dist
 
     converged = False
     for _ in range(max_iter):

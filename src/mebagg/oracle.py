@@ -15,7 +15,7 @@ import numpy as np
 from .aggregate import CandidateBalls, candidate_balls
 from .errors import InstanceTooLargeError, InvalidFaultBudgetError, MebaggError
 from .geometry import Ball, circumball, meb
-from .pointset import as_points, as_vector
+from .pointset import as_points
 
 BRUTEFORCE_MAX_N = 12
 BRUTEFORCE_MAX_D = 4
@@ -76,16 +76,6 @@ def candidate_balls_bruteforce(points, t: int) -> CandidateBalls:
     return CandidateBalls(balls=balls, subsets=subsets, n=n, t=t)
 
 
-def _ball_arrays(balls) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(balls, CandidateBalls):
-        return balls.centers(), balls.radii()
-    blist = list(balls)
-    return (
-        np.array([b.center for b in blist]),
-        np.array([b.radius for b in blist]),
-    )
-
-
 def grid_minmax(
     balls,
     resolution: int = 200,
@@ -99,7 +89,8 @@ def grid_minmax(
     largest radius, then repeatedly re-grids around the incumbent. Returns
     (best point, unclamped value).
     """
-    C, R = _ball_arrays(balls)
+    cb = CandidateBalls.from_balls(balls)
+    C, R = cb.centers(), cb.radii()
     B, d = C.shape
     if d > GRID_MAX_D:
         raise InstanceTooLargeError(f"grid search capped at d<={GRID_MAX_D}, got d={d}")
@@ -133,63 +124,26 @@ def grid_minmax(
     return best_pt, best_val
 
 
-def exhaustive_factor(
-    points,
-    t: int,
-    *,
-    y=None,
-    rule=None,
-    balls: CandidateBalls | None = None,
-    tol: float = 1e-9,
-) -> float:
-    """Worst relaxation factor of an output over every honest designation.
+def exhaustive_factor(points, t: int, *, y, balls: CandidateBalls | None = None) -> float:
+    """Worst relaxation factor of an output y over every honest designation.
 
     Every size-(n-t) subset is treated as the possible honest set; the
-    factor is max over designations of ||y - center||/radius of the
-    designation's MEB. Zero-radius designations are skipped unless the
-    output misses their center, which scores infinity.
-
-    Provide either an output vector ``y`` or a ``rule`` callable taking
-    (points, t); precomputed ``balls`` are reused when given.
+    factor is the largest ``CandidateBalls.ratios`` value, ||y - center||/
+    radius of the designation's MEB, so a zero-radius designation counts 0
+    when y sits on its center and infinity otherwise. Precomputed ``balls``
+    are reused when given.
     """
-    pts = as_points(points)
-    if y is None:
-        if rule is None:
-            raise MebaggError("exhaustive_factor needs either y or rule")
-        y = rule(pts, t).output
-    vec = as_vector(y, pts.shape[1])
-    if balls is None:
-        balls = candidate_balls(pts, t)
-    C, R = balls.centers(), balls.radii()
-    scale = 1.0 + float(np.abs(pts).max())
-    dist = np.linalg.norm(C - vec, axis=1)
-    zero = R <= 1e-12 * scale
-    factor = 0.0
-    if zero.any():
-        if np.any(dist[zero] > tol * scale):
-            return math.inf
-    nz = ~zero
-    if nz.any():
-        factor = float(np.max(dist[nz] / R[nz]))
-    return factor
+    return worst_designation(points, t, y, balls=balls)[0]
 
 
 def worst_designation(
     points, t: int, y, *, balls: CandidateBalls | None = None
 ) -> tuple[float, tuple[int, ...] | None]:
-    """Like exhaustive_factor but also reports the worst subset."""
-    pts = as_points(points)
-    vec = as_vector(y, pts.shape[1])
+    """The exhaustive factor of y and the witness subset of the ball that
+    attains it (None when the balls carry no subsets)."""
     if balls is None:
-        balls = candidate_balls(pts, t)
-    C, R = balls.centers(), balls.radii()
-    scale = 1.0 + float(np.abs(pts).max())
-    dist = np.linalg.norm(C - vec, axis=1)
-    ratios = np.where(
-        R > 1e-12 * scale,
-        dist / np.maximum(R, 1e-300),
-        np.where(dist > 1e-9 * scale, math.inf, 0.0),
-    )
+        balls = candidate_balls(points, t)
+    ratios = balls.ratios(y)
     idx = int(np.argmax(ratios))
     subset = balls.subsets[idx] if balls.subsets is not None else None
     return float(ratios[idx]), subset

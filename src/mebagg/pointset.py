@@ -26,16 +26,7 @@ class PointSet:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise EmptyInputError("a point set needs at least one point")
-        if pts.shape[1] < 1:
-            raise DimensionMismatchError("points must have dimension >= 1")
-        if not np.all(np.isfinite(pts)):
-            raise MebaggError("points must be finite (no NaN/inf)")
-        pts = pts.copy()
+        pts = as_points(self.points).copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
@@ -89,6 +80,8 @@ def as_points(data) -> np.ndarray:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise EmptyInputError("expected a nonempty sequence of points")
+    if pts.shape[1] < 1:
+        raise DimensionMismatchError("points must have dimension >= 1")
     if not np.all(np.isfinite(pts)):
         raise MebaggError("points must be finite (no NaN/inf)")
     return pts

@@ -28,9 +28,6 @@ class ScenarioSpec:
     kind: str
     params: dict
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
-
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioSpec":
         if "kind" not in payload:
@@ -435,11 +432,3 @@ def _attack_search(
             step *= 0.5
     return byz
 
-
-GENERATORS = {
-    "lower-bound": lower_bound_construction,
-    "medoid-ce": medoid_counterexample,
-    "gm-impossibility": gm_impossibility_instance,
-    "gm-convex": gm_convex_violation_instance,
-    "random": random_instance,
-}

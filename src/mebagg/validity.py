@@ -48,7 +48,19 @@ class Certificate:
         }
 
 
-def _certify(condition: str, achieved: float, bound: float, tol: float, witness) -> Certificate:
+def _length_tol(tol: float, pts: np.ndarray) -> float:
+    """``tol`` for lengths among the points: scaled by 1 + their largest
+    coordinate, so a verdict does not hang on where the origin is."""
+    return tol * (1.0 + float(np.abs(pts).max()))
+
+
+def _certify(
+    condition: str, achieved: float, bound: float, tol: float, witness, *, points=None
+) -> Certificate:
+    """Pass iff achieved <= bound + tol. Given ``points``, achieved and
+    bound are lengths among them and tol scales with them (``_length_tol``)."""
+    if points is not None:
+        tol = _length_tol(tol, points)
     passed = achieved <= bound + tol
     return Certificate(
         condition=condition,
@@ -70,8 +82,9 @@ def phi(y, ball: Ball) -> float:
 def check_c_meb(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificate:
     """Is y within c times the honest enclosing-ball radius of its center?
 
-    A zero-radius honest ball degenerates to exact-point semantics: pass iff
-    y coincides with the center within the absolute tolerance.
+    A zero-radius honest ball degenerates to exact-point semantics: the
+    factor is 0 when y coincides with the center within ``tol`` scaled as
+    lengths are (``_length_tol``), and infinite otherwise.
     """
     if c < 1:
         raise InvalidParamsError(f"relaxation factor c must be >= 1, got {c}")
@@ -80,45 +93,27 @@ def check_c_meb(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificate:
     v = as_vector(y, ball.dim)
     dist = float(np.linalg.norm(v - ball.center))
     if ball.radius <= 0:
-        scale = 1.0 + float(np.abs(pts).max())
-        achieved = 0.0 if dist <= tol * scale else math.inf
-        return _certify(f"c-meb(c={c:g})", achieved, c, tol, ball.center)
-    achieved = dist / ball.radius
+        achieved = 0.0 if dist <= _length_tol(tol, pts) else math.inf
+    else:
+        achieved = dist / ball.radius
     return _certify(f"c-meb(c={c:g})", achieved, c, tol, ball.center)
 
 
-def safe_meb_value(y, balls: CandidateBalls, *, tol: float = ABS_TOL) -> float:
-    """Worst relative gap of y over all candidate balls; 0 means y lies in
-    the exact intersection. Zero-radius candidates demand exact-center
-    membership and contribute infinity otherwise."""
-    C, R = balls.centers(), balls.radii()
-    v = as_vector(y, C.shape[1])
-    dist = np.linalg.norm(C - v, axis=1)
-    scale = 1.0 + float(np.abs(C).max())
-    value = 0.0
-    zero = R <= 1e-12 * scale
-    if zero.any() and np.any(dist[zero] > tol * scale):
-        return math.inf
-    nz = ~zero
-    if nz.any():
-        value = float(np.max(np.maximum(0.0, dist[nz] - R[nz]) / R[nz]))
-    return value
+def safe_meb_value(y, balls: CandidateBalls) -> float:
+    """Worst relative gap of y over all candidate balls, max(0, largest
+    ``CandidateBalls.ratios`` value - 1); 0 means y lies in the exact
+    intersection, and a zero-radius ball whose center y misses makes it
+    infinite."""
+    return max(0.0, float(CandidateBalls.from_balls(balls).ratios(y).max()) - 1.0)
 
 
 def safe_meb_empty(balls: CandidateBalls, *, tol: float = 1e-9) -> tuple[bool, float]:
     """Decide emptiness of the exact candidate-ball intersection.
 
-    Returns (empty, min-max value): a strictly positive min-max value means
-    no point lies in every candidate ball.
+    Returns (empty, min-max value clamped at 0): a value above ``tol`` means
+    no point lies in every candidate ball. Zero-radius candidates with
+    distinct centers give (True, inf).
     """
-    R = balls.radii()
-    C = balls.centers()
-    scale = 1.0 + float(np.abs(C).max())
-    zero = R <= 1e-12 * scale
-    if zero.any():
-        anchor = C[zero][0]
-        value = safe_meb_value(anchor, balls)
-        return value > tol, value
     _, value = solve_minmax(balls)
     value = max(0.0, value)
     return value > tol, value
@@ -140,7 +135,7 @@ def check_box(y, honest, *, tol: float = ABS_TOL) -> Certificate:
     excursions = np.maximum(box.lo - v, v - box.hi)
     worst = int(np.argmax(excursions))
     achieved = max(0.0, float(excursions[worst]))
-    return _certify("box", achieved, 0.0, tol, worst)
+    return _certify("box", achieved, 0.0, tol, worst, points=pts)
 
 
 def check_relaxed_convex(y, honest, delta: float, *, tol: float = ABS_TOL) -> Certificate:
@@ -156,7 +151,8 @@ def check_relaxed_convex(y, honest, delta: float, *, tol: float = ABS_TOL) -> Ce
     dists = np.linalg.norm(pts - v, axis=1)
     worst = int(np.argmax(dists))
     return _certify(
-        f"relaxed-convex(delta={delta:g})", float(dists[worst]), delta, tol, pts[worst]
+        f"relaxed-convex(delta={delta:g})", float(dists[worst]), delta, tol, pts[worst],
+        points=pts,
     )
 
 
@@ -167,7 +163,7 @@ def check_bias_bound(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificat
     ball = meb(pts)
     achieved = float(np.linalg.norm(v - pts.mean(axis=0)))
     bound = (c + 1.0) * ball.radius
-    return _certify(f"bias(c={c:g})", achieved, bound, tol, pts.mean(axis=0))
+    return _certify(f"bias(c={c:g})", achieved, bound, tol, pts.mean(axis=0), points=pts)
 
 
 _BOUND_RULES = ("mda", "medoid", "geomedian", "minmax-meb")

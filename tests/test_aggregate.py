@@ -7,7 +7,9 @@ from mebagg import (
     Ball,
     CandidateBalls,
     ConflictingZeroRadiusError,
+    DimensionMismatchError,
     InvalidFaultBudgetError,
+    PointSet,
     ResilienceViolationError,
     TooManySubsetsError,
     candidate_balls,
@@ -159,6 +161,24 @@ def test_gm_data_point_optimum():
     pts = np.array([(0.0, 0.0)] * 6 + [(1.0, 1.0), (-1.0, 2.0)])
     result = geometric_median(pts)
     assert np.allclose(result.output, [0, 0], atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "n, t, seed, strategy", [(4, 1, 794, "cluster"), (11, 3, 357, "uniform-far")]
+)
+def test_gm_settles_beside_a_non_optimal_vertex(n, t, seed, strategy):
+    # Weiszfeld settles about 1.4e-5 from a data point that is not optimal;
+    # stepping off that vertex on every settle used to cycle until max_iter
+    pts = random_instance(n, t, 2, seed=seed, strategy=strategy).points.points
+    out = geometric_median(pts).output
+
+    def cost(y):
+        return float(np.linalg.norm(pts - y, axis=1).sum())
+
+    angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    steps = np.column_stack([np.cos(angles), np.sin(angles)])
+    for h in (1e-3, 1e-5, 1e-7):
+        assert cost(out) <= min(cost(out + h * s) for s in steps) + 1e-8
 
 
 def test_gm_iteration_cap_raises():
@@ -346,6 +366,27 @@ def test_minmax_conflicting_zero_radius():
     pts = np.array([[0.0]] * 3 + [[5.0]] * 3)
     with pytest.raises(ConflictingZeroRadiusError):
         minmax_meb(pts, 3, allow_low_resilience=True)
+    _, value = solve_minmax(candidate_balls(pts, 3))
+    assert value == math.inf
+
+
+def test_minmax_zero_radius_candidate_is_returned():
+    # three of five points coincide, so one candidate ball has radius 0
+    pts = np.array([[1000.0, 5.0]] * 3 + [[1001.0, 5.0], [1000.0, 7.0]])
+    balls = candidate_balls(pts, 2)
+    result = minmax_meb(pts, 2, balls=balls)
+    assert np.array_equal(result.output, [1000.0, 5.0])
+    assert result.achieved_value == 0.0
+    assert worst_designation(pts, 2, result.output, balls=balls)[0] <= 1.0
+
+
+def test_ratios_zero_radius_rule():
+    cb = CandidateBalls.from_balls([Ball([1000.0, 0.0], 0.0), Ball([1002.0, 0.0], 4.0)])
+    # the miss tolerance is 1e-9 * (1 + 1002) about the zero-radius center
+    near = cb.ratios([1000.0 + 1e-7, 0.0])
+    assert near[0] == 0.0 and math.isclose(near[1], (2.0 - 1e-7) / 4.0, rel_tol=1e-12)
+    assert cb.ratios([1000.0 + 1e-5, 0.0])[0] == math.inf
+    assert CandidateBalls.from_balls(cb) is cb
 
 
 def test_solve_minmax_tangent_balls_inner_value():
@@ -456,6 +497,14 @@ def test_rule_isometry_and_scale_equivariance(rule, rng):
     assert np.allclose(moved, rot @ base + shift, atol=1e-5)
     scaled = run_rule(rule, 2.5 * pts, t).output
     assert np.allclose(scaled, 2.5 * base, atol=1e-5)
+
+
+@pytest.mark.parametrize("rule", ALL_RULES)
+def test_rule_rejects_zero_dimensional_points(rule):
+    with pytest.raises(DimensionMismatchError):
+        run_rule(rule, np.zeros((3, 0)), 1)
+    with pytest.raises(DimensionMismatchError):
+        PointSet(np.zeros((3, 0)))
 
 
 def test_coordmedian_translation_and_scale_equivariance(rng):

@@ -156,7 +156,8 @@ def test_certify_center_passes(runner, tmp_path):
 
 def test_certify_labeled_coincident_honest_points(runner, tmp_path):
     # a zero-radius honest ball: the reported factor is the c-meb
-    # certificate's, whose tolerance scales with the coordinates
+    # certificate's; it and the box and bias certificates all compare
+    # lengths at a tolerance that scales with the coordinates
     path = tmp_path / "p.csv"
     path.write_text("1000,1000,honest\n" * 3 + "5000,5000,byz\n")
     result = runner.invoke(
@@ -164,9 +165,12 @@ def test_certify_labeled_coincident_honest_points(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     report = json.loads(result.output)
-    c_meb = {c["condition"]: c for c in report["certificates"]}["c-meb(c=1.5)"]
+    certs = {c["condition"]: c for c in report["certificates"]}
+    c_meb = certs["c-meb(c=1.5)"]
     assert c_meb["pass"]
     assert report["achieved_factor"] == c_meb["achieved"] == 0.0
+    assert certs["box"]["pass"]
+    assert certs["bias(c=1.5)"]["pass"]
 
 
 def test_certify_unlabeled_worst_case(runner, tmp_path):

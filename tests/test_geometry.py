@@ -15,7 +15,9 @@ from mebagg import (
     dist_to_ball,
     dist_to_hull,
     meb,
+    mda,
     meb_bruteforce,
+    random_instance,
     soddy_inner_bend,
     trusted_box,
 )
@@ -175,6 +177,21 @@ def test_dist_to_hull_inside_hull_is_zero(rng):
     for _ in range(10):
         w = rng.dirichlet(np.ones(7))
         assert dist_to_hull(w @ pts, pts) <= 1e-7
+
+
+def test_dist_to_hull_inside_a_simplex(rng):
+    # at most d+1 points: interior points are settled by their barycentric
+    # weights, where pairwise Frank-Wolfe needs about 1e5 iterations
+    inst = random_instance(15, 6, 8, seed=0)
+    honest = inst.points.honest_points()
+    y = mda(inst.points.points, 6).output
+    dist, witness = dist_to_hull(y, honest, return_witness=True)
+    assert dist <= 1e-9
+    assert np.linalg.norm(witness - y) == dist
+    for d in range(1, 9):
+        pts = random_cloud(rng, d + 1, d)
+        y = rng.dirichlet(np.ones(d + 1)) @ pts
+        assert dist_to_hull(y, pts) <= 1e-9
 
 
 def test_hull_distance_never_exceeded_by_ball_distance(rng):
