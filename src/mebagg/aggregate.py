@@ -23,7 +23,7 @@ from .errors import (
     ResilienceViolationError,
     TooManySubsetsError,
 )
-from .geometry import Ball, meb
+from .geometry import Ball, _one_center, meb
 from .pointset import as_points, as_vector
 
 MAX_SUBSETS = 2_000_000
@@ -391,84 +391,13 @@ def geometric_median(
 # min-max relative-distance rule
 
 
-# Working-set rounds before the min-max solve gives up. Each round strictly
-# raises the working-set optimum, so it settles long before this.
-_MINMAX_MAX_ROUNDS = 500
-
-
-def _best_basis(C: np.ndarray, R: np.ndarray, work: list[int]):
-    """Exact optimum of max ||y - c_i||/r_i over the balls in ``work``.
-
-    Every subset S of at most d+1 balls is solved in closed form, the
-    weighted analogue of ``geometry.circumball``. Take c_0 as the ball of S
-    with the smallest radius and V as the rows c_i - c_0. Then y = c_0 + V^T beta has the
-    same ratio rho at every ball of S when G beta = b - q delta, with
-    q = rho^2, G = V V^T, b_i = |v_i|^2/2 and delta_i = (r_i^2 - r_0^2)/2.
-    So y(q) = c_0 + a - q w is a line, and |y(q) - c_0|^2 = q r_0^2 is a
-    quadratic in q. Its smaller root is the optimum of S whenever that
-    optimum has every ball of S tight, and then y lies in conv(S).
-    Referencing the smallest radius, with the discriminant formed from the
-    offset of c_0 from that line, keeps the root accurate when one radius
-    is tiny next to the others.
-
-    A candidate counts when every ball of S is tight at y; its rho is the
-    largest ratio over ``work``, so no candidate undercuts the optimum of
-    ``work`` and the basis of that optimum attains it. Returns (y, rho, S)
-    for the candidate with the smallest rho, or None when none counts.
-    """
-    CW, RW = C[work], R[work]
-    m, d = CW.shape
-    # a ratio is accurate to about eps * |y - c|/r, which a tiny ball inflates
-    slack = 1e-10 + 1e-12 * RW.max() / RW.min()
-    best = None
-    for k in range(1, min(m, d + 1) + 1):
-        subs = np.array(list(itertools.combinations(range(m), k)))
-        subs = np.take_along_axis(subs, np.argsort(RW[subs], axis=1), axis=1)
-        Cs, Rs = CW[subs], RW[subs]
-        if k == 1:
-            y = Cs[:, 0]
-            ok = np.ones(len(subs), dtype=bool)
-        else:
-            V = Cs[:, 1:] - Cs[:, :1]
-            G = V @ V.transpose(0, 2, 1)
-            ok = np.linalg.matrix_rank(G) == k - 1
-            G[~ok] = np.eye(k - 1)
-            r0sq = Rs[:, 0] ** 2
-            b = 0.5 * np.einsum("sij,sij->si", V, V)
-            delta = 0.5 * (Rs[:, 1:] ** 2 - r0sq[:, None])
-            beta = np.linalg.solve(G, np.stack([b, delta], axis=2))
-            a = np.einsum("si,sid->sd", beta[..., 0], V)
-            w = np.einsum("si,sid->sd", beta[..., 1], V)
-            aa, aw, ww = (a * a).sum(axis=1), (a * w).sum(axis=1), (w * w).sum(axis=1)
-            a_perp = a - (aw / np.where(ww > 0, ww, 1.0))[:, None] * w
-            # |a - q w|^2 = q r_0^2  <=>  ww q^2 - lin q + aa = 0
-            lin = 2.0 * aw + r0sq
-            disc = r0sq * r0sq + 4.0 * r0sq * aw - 4.0 * ww * (a_perp * a_perp).sum(axis=1)
-            ok &= lin > 0
-            q = 2.0 * aa / np.where(ok, lin + np.sqrt(np.maximum(disc, 0.0)), np.inf)
-            y = Cs[:, 0] + a - q[:, None] * w
-        ratios = np.linalg.norm(CW[None, :, :] - y[:, None, :], axis=2) / RW
-        rho = ratios.max(axis=1)
-        ok &= np.take_along_axis(ratios, subs, axis=1).min(axis=1) >= rho * (1.0 - slack)
-        if ok.any():
-            i = int(np.argmin(np.where(ok, rho, np.inf)))
-            if best is None or rho[i] < best[1]:
-                best = (y[i], float(rho[i]), [work[j] for j in subs[i]])
-    return best
-
-
 def solve_minmax(balls) -> tuple[np.ndarray, float]:
     """Minimize g(y) = max over balls of (||y - c|| - r)/r exactly.
 
     Returns (argmin, unclamped value); the value is negative when some point
     lies strictly inside every ball. This is the weighted Euclidean 1-center
-    problem (Megiddo 1983), LP-type with combinatorial dimension d+1, so the
-    optimum is fixed by at most d+1 tight balls whose centers hold it in
-    their convex hull. An active-set loop finds them: starting from the pair
-    maximizing ||c_i - c_j||/(r_i + r_j), solve the working set exactly
-    (``_best_basis``), stop when no ball has a larger ratio, else replace the
-    working set by the optimal support plus the worst violator. The working
-    set never exceeds d+2 balls and its optimum strictly rises each round.
+    problem, solved by the exact active-set kernel ``geometry._one_center``
+    that ``meb`` also runs.
 
     Zero-radius balls (``CandidateBalls.ratios``) pin the answer: the first
     one's center is returned with the value its ratios give, which is
@@ -487,31 +416,8 @@ def solve_minmax(balls) -> tuple[np.ndarray, float]:
     if uniq_idx.size < C.shape[0]:
         C = C[np.sort(uniq_idx)]
         R = R[np.sort(uniq_idx)]
-    # a local origin keeps the closed-form solves well scaled at any offset
-    origin = C.mean(axis=0)
-    local = C - origin
-
-    # pairwise distances from the Gram matrix, without a B x B x d array
-    sq = np.einsum("ij,ij->i", local, local)
-    sep = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (local @ local.T), 0.0))
-    i, j = np.unravel_index(np.argmax(sep / (R[:, None] + R[None, :])), sep.shape)
-    work = sorted({int(i), int(j)})
-    for _ in range(_MINMAX_MAX_ROUNDS):
-        best = _best_basis(local, R, work)
-        if best is None:
-            raise NonConvergenceError(
-                f"no support of the working set {work} certified its optimum"
-            )
-        y, rho, support = best
-        ratios = np.linalg.norm(local - y, axis=1) / R
-        worst = int(np.argmax(ratios))
-        if ratios[worst] <= rho * (1.0 + 1e-12):
-            y = y + origin
-            return y, float(cb.ratios(y).max()) - 1.0
-        work = support + [worst]
-    raise NonConvergenceError(
-        f"min-max active set did not settle within {_MINMAX_MAX_ROUNDS} rounds"
-    )
+    y, _ = _one_center(C, R)
+    return y, float(cb.ratios(y).max()) - 1.0
 
 
 def minmax_meb(

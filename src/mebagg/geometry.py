@@ -6,6 +6,7 @@ concurrent use.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,11 +19,6 @@ from .errors import (
     NonConvergenceError,
 )
 from .pointset import as_points, as_vector
-
-# Dimension above which the recursive ball solver hands off to the
-# iterative core-set refinement.
-WELZL_MAX_DIM = 10
-CORESET_EPS = 1e-7
 
 HULL_TOL = 1e-7
 HULL_MAX_ITER = 10_000
@@ -96,68 +92,131 @@ def circumball(points) -> Ball:
     return Ball(center, radius)
 
 
-def _welzl(pts: np.ndarray) -> Ball:
-    """Move-to-front Welzl on deduplicated, canonically ordered points."""
-    d = pts.shape[1]
-    rows = [pts[i] for i in range(pts.shape[0])]
-
-    def ball_of(support: list[np.ndarray]) -> tuple[np.ndarray, float]:
-        if not support:
-            return pts[0] * 0.0, -1.0
-        ball = circumball(np.array(support))
-        return ball.center, ball.radius
-
-    def mtf(order: list[int], support: list[np.ndarray]) -> tuple[np.ndarray, float]:
-        center, radius = ball_of(support)
-        if len(support) == d + 1:
-            return center, radius
-        for i, idx in enumerate(order):
-            p = rows[idx]
-            if np.linalg.norm(p - center) > radius * (1.0 + 1e-12) + 1e-300:
-                center, radius = mtf(order[:i], support + [p])
-                order[: i + 1] = [idx] + order[:i]
-        return center, radius
-
-    center, radius = mtf(list(range(len(rows))), [])
-    radius = max(radius, 0.0)
-    return Ball(center, radius)
+# Working-set rounds before the enclosing solve gives up. Each round
+# strictly raises the working-set optimum, so it settles long before this.
+_MINMAX_MAX_ROUNDS = 500
 
 
-def _meb_coreset(pts: np.ndarray, eps: float = CORESET_EPS) -> Ball:
-    """High-dimension fallback: grow an active support set until the ball
-    covers everything within relative eps."""
-    far0 = int(np.argmax(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
-    far1 = int(np.argmax(np.linalg.norm(pts - pts[far0], axis=1)))
-    active = {far0, far1}
-    ball = _welzl(pts[sorted(active)])
-    for _ in range(10 * len(pts)):
-        dists = np.linalg.norm(pts - ball.center, axis=1)
-        worst = int(np.argmax(dists))
-        if dists[worst] <= ball.radius * (1.0 + eps) + 1e-300:
-            break
-        active.add(worst)
-        ball = _welzl(pts[sorted(active)])
-    return ball
+def _best_basis(C: np.ndarray, R: np.ndarray, work: list[int]):
+    """Exact optimum of max ||y - c_i||/r_i over the balls in ``work``.
+
+    Every subset S of at most d+1 balls is solved in closed form, the
+    weighted analogue of ``circumball``. Take c_0 as the ball of S with the
+    smallest radius and V as the rows c_i - c_0. Then y = c_0 + V^T beta has
+    the same ratio rho at every ball of S when G beta = b - q delta, with
+    q = rho^2, G = V V^T, b_i = |v_i|^2/2 and delta_i = (r_i^2 - r_0^2)/2.
+    So y(q) = c_0 + a - q w is a line, and |y(q) - c_0|^2 = q r_0^2 is a
+    quadratic in q. Its smaller root is the optimum of S whenever that
+    optimum has every ball of S tight, and then y lies in conv(S).
+    Referencing the smallest radius, with the discriminant formed from the
+    offset of c_0 from that line, keeps the root accurate when one radius
+    is tiny next to the others.
+
+    A candidate counts when every ball of S is tight at y; its rho is the
+    largest ratio over ``work``, so no candidate undercuts the optimum of
+    ``work`` and the basis of that optimum attains it. Returns (y, rho, S)
+    for the candidate with the smallest rho, or None when none counts.
+    """
+    CW, RW = C[work], R[work]
+    m, d = CW.shape
+    # a ratio is accurate to about eps * |y - c|/r, which a tiny ball inflates
+    slack = 1e-10 + 1e-12 * RW.max() / RW.min()
+    best = None
+    for k in range(1, min(m, d + 1) + 1):
+        subs = np.array(list(itertools.combinations(range(m), k)))
+        subs = np.take_along_axis(subs, np.argsort(RW[subs], axis=1), axis=1)
+        Cs, Rs = CW[subs], RW[subs]
+        if k == 1:
+            y = Cs[:, 0]
+            ok = np.ones(len(subs), dtype=bool)
+        else:
+            V = Cs[:, 1:] - Cs[:, :1]
+            G = V @ V.transpose(0, 2, 1)
+            ok = np.linalg.matrix_rank(G) == k - 1
+            G[~ok] = np.eye(k - 1)
+            r0sq = Rs[:, 0] ** 2
+            b = 0.5 * np.einsum("sij,sij->si", V, V)
+            delta = 0.5 * (Rs[:, 1:] ** 2 - r0sq[:, None])
+            beta = np.linalg.solve(G, np.stack([b, delta], axis=2))
+            a = np.einsum("si,sid->sd", beta[..., 0], V)
+            w = np.einsum("si,sid->sd", beta[..., 1], V)
+            aa, aw, ww = (a * a).sum(axis=1), (a * w).sum(axis=1), (w * w).sum(axis=1)
+            a_perp = a - (aw / np.where(ww > 0, ww, 1.0))[:, None] * w
+            # |a - q w|^2 = q r_0^2  <=>  ww q^2 - lin q + aa = 0
+            lin = 2.0 * aw + r0sq
+            disc = r0sq * r0sq + 4.0 * r0sq * aw - 4.0 * ww * (a_perp * a_perp).sum(axis=1)
+            ok &= lin > 0
+            q = 2.0 * aa / np.where(ok, lin + np.sqrt(np.maximum(disc, 0.0)), np.inf)
+            y = Cs[:, 0] + a - q[:, None] * w
+        ratios = np.linalg.norm(CW[None, :, :] - y[:, None, :], axis=2) / RW
+        rho = ratios.max(axis=1)
+        ok &= np.take_along_axis(ratios, subs, axis=1).min(axis=1) >= rho * (1.0 - slack)
+        if ok.any():
+            i = int(np.argmin(np.where(ok, rho, np.inf)))
+            if best is None or rho[i] < best[1]:
+                best = (y[i], float(rho[i]), [work[j] for j in subs[i]])
+    return best
+
+
+def _one_center(C: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:
+    """(y, rho) minimizing rho = max_i ||y - c_i|| / r_i, exactly; all r_i > 0.
+
+    The weighted Euclidean 1-center problem (Megiddo 1983) is LP-type with
+    combinatorial dimension d+1, so the optimum is fixed by at most d+1
+    tight balls whose centers hold y in their convex hull. An active-set
+    loop finds them: solve the working set exactly (``_best_basis``), stop
+    when no ball has a larger ratio, else replace the working set by the
+    optimal support plus the worst violator. The working set never exceeds
+    d+2 balls and its optimum strictly rises each round. With every r_i = 1
+    this is the minimum enclosing ball of the centers.
+    """
+    # a local origin keeps the closed-form solves well scaled at any offset;
+    # power-of-two scales bring the spread and the radii near 1 without
+    # rounding, so squared lengths neither underflow nor overflow
+    origin = C.mean(axis=0)
+    cexp = int(np.frexp(np.abs(C - origin).max())[1])
+    rexp = int(np.frexp(R.max())[1])
+    local = np.ldexp(C - origin, -cexp)
+    R = np.ldexp(R, -rexp)
+    # start from a far pair: the ball farthest by ratio from the centroid,
+    # then the ball farthest from it by ||c_i - c_j|| / (r_i + r_j)
+    i = int(np.argmax(np.linalg.norm(local, axis=1) / R))
+    j = int(np.argmax(np.linalg.norm(local - local[i], axis=1) / (R + R[i])))
+    work = sorted({i, j})
+    for _ in range(_MINMAX_MAX_ROUNDS):
+        best = _best_basis(local, R, work)
+        if best is None:
+            raise NonConvergenceError(
+                f"no support of the working set {work} certified its optimum"
+            )
+        y, rho, support = best
+        ratios = np.linalg.norm(local - y, axis=1) / R
+        worst = int(np.argmax(ratios))
+        if ratios[worst] <= rho * (1.0 + 1e-12):
+            return np.ldexp(y, cexp) + origin, float(np.ldexp(rho, cexp - rexp))
+        work = support + [worst]
+    raise NonConvergenceError(
+        f"active set did not settle within {_MINMAX_MAX_ROUNDS} rounds"
+    )
 
 
 def meb(points) -> Ball:
-    """Minimum enclosing ball of a point set.
+    """Minimum enclosing ball of a point set, exact in every dimension.
 
     Exactly duplicated points are merged first; the result is independent of
-    input order. The reported radius is the realized covering radius, so
-    containment holds with no slack.
+    input order. The center comes from ``_one_center`` with every radius 1,
+    the same active-set kernel that ``aggregate.solve_minmax`` runs. The
+    reported radius is the realized covering radius, so containment holds
+    with no slack.
     """
     pts = as_points(points)
     uniq = np.unique(pts, axis=0)
     if uniq.shape[0] == 1:
         return Ball(uniq[0], 0.0)
-    if uniq.shape[1] > WELZL_MAX_DIM:
-        ball = _meb_coreset(uniq)
-    else:
-        ball = _welzl(uniq)
+    center, _ = _one_center(uniq, np.ones(uniq.shape[0]))
     # pin containment: report the realized covering radius
-    radius = float(np.max(np.linalg.norm(pts - ball.center, axis=1)))
-    return Ball(ball.center, radius)
+    radius = float(np.max(np.linalg.norm(pts - center, axis=1)))
+    return Ball(center, radius)
 
 
 def diameter(points) -> float:
@@ -197,10 +256,10 @@ def dist_to_hull(
     largest distance from y to a point and eps the float epsilon: the
     duality gap that stops the iteration bounds the squared distance, and
     it cannot settle below a few ulps of scale^2, so below ``tol`` of about
-    4e-8 the floor sets the accuracy. When there are at most d+1 points and
-    y lies in their hull, one least-squares solve for y's barycentric
-    weights settles it first: the result is then the solve's residual,
-    within ``tol * scale`` of y.
+    4e-8 the floor sets the accuracy. When there are at most d+1 distinct
+    points and y lies in their hull, one least-squares solve for y's
+    barycentric weights settles it first: the result is then the solve's
+    residual, within ``tol * scale`` of y.
 
     Parameters
     ----------
@@ -208,6 +267,10 @@ def dist_to_hull(
     """
     pts = as_points(points)
     v = as_vector(y, pts.shape[1])
+    # repeats leave the hull unchanged but can hide a simplex from the
+    # pre-check below; first copies keep their order
+    _, first = np.unique(pts, axis=0, return_index=True)
+    pts = pts[np.sort(first)]
     n = pts.shape[0]
     scale = 1.0 + float(np.max(np.linalg.norm(pts - v, axis=1)))
     # the gap is a difference of products of size scale^2, so it cannot

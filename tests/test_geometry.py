@@ -1,9 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import mebagg.geometry
 
 from mebagg import (
     Ball,
@@ -37,6 +41,12 @@ def test_meb_two_points_midpoint():
     ball = meb([(0.0, 0.0), (0.0, 1.0)])
     assert np.allclose(ball.center, [0.0, 0.5], atol=1e-12)
     assert math.isclose(ball.radius, 0.5, rel_tol=1e-12)
+    # squared lengths of this spread underflow unless the solve rescales; the
+    # realized radius still squares subnormal numbers
+    ball = meb([(0.0, 0.0), (0.0, 6.5e-159)])
+    assert ball.center[0] == 0.0
+    assert math.isclose(ball.center[1], 3.25e-159, rel_tol=1e-12)
+    assert math.isclose(ball.radius, 3.25e-159, rel_tol=1e-6)
 
 
 def test_meb_unit_square():
@@ -112,6 +122,45 @@ def test_meb_high_dimension_coreset_path(rng):
     diam = diameter(pts)
     assert ball.radius >= diam / 2 - 1e-6
     assert ball.radius <= diam + 1e-9
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_meb_optimality_certificate_any_dimension(d):
+    # meb_bruteforce stops at d = 4; the certificate does not: the center of
+    # the MEB lies in the hull of the points on its sphere
+    rng = np.random.default_rng(900 + d)
+    for layout in ("generic", "coincident", "collinear"):
+        for _ in range(4):
+            n = int(rng.integers(3, 13))
+            pts = rng.normal(size=(n, d)) * 2
+            if layout == "coincident":
+                pts = pts[rng.integers(0, max(2, n // 3), size=n)]
+            elif layout == "collinear":
+                pts = np.outer(rng.normal(size=n), rng.normal(size=d))
+            pts += 1e3
+            ball = meb(pts)
+            dists = np.linalg.norm(pts - ball.center, axis=1)
+            assert dists.max() <= ball.radius
+            tight = np.unique(pts[dists >= ball.radius * (1.0 - 1e-9)], axis=0)
+            assert dist_to_hull(ball.center, tight) <= 1e-9 * ball.radius
+    if d in (11, 14):
+        ball = meb(np.eye(d + 1))
+        assert math.isclose(ball.radius, math.sqrt(d / (d + 1)), rel_tol=1e-12)
+
+
+def test_geometry_imports_no_higher_layer():
+    # the shared solver kernel lives in geometry, below the modules using it
+    tree = ast.parse(Path(mebagg.geometry.__file__).read_text())
+    higher = {"aggregate", "validity", "oracle", "scenarios"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert not higher & set(name.split(".")), ast.unparse(node)
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,6 +241,9 @@ def test_dist_to_hull_inside_a_simplex(rng):
         pts = random_cloud(rng, d + 1, d)
         y = rng.dirichlet(np.ones(d + 1)) @ pts
         assert dist_to_hull(y, pts) <= 1e-9
+    # repeated vertices leave the hull a simplex
+    tri = [[1.336, -0.556], [0.788, -0.003], [-0.701, 1.338]]
+    assert dist_to_hull([0.5159, 0.2335], np.repeat(tri, 2, axis=0)) <= 1e-9
 
 
 def test_hull_distance_never_exceeded_by_ball_distance(rng):
