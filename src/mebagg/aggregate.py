@@ -23,14 +23,10 @@ from .errors import (
     ResilienceViolationError,
     TooManySubsetsError,
 )
-from .geometry import Ball, _one_center, meb
+from .geometry import _CHUNK_ELEMS, Ball, _full_rank, _index_chunks, _one_center, meb
 from .pointset import as_points, as_vector
 
 MAX_SUBSETS = 2_000_000
-
-# Support sets solved per batch: each batch holds a few rows x n x d arrays,
-# so this element budget bounds the working memory at any n.
-_SUPPORT_CHUNK_ELEMS = 1 << 16
 
 # One ``meb`` call costs about as much as this many batched support-set
 # checks (measured ratios run from a few hundred to a few thousand, growing
@@ -133,18 +129,6 @@ def _ball_keys(centers, radii) -> np.ndarray:
     return np.round(np.column_stack([centers, radii]), 12)
 
 
-def _index_chunks(n: int, k: int, rows: int):
-    """The k-subsets of range(n) in lexicographic order, ``rows`` at a time."""
-    combos = itertools.combinations(range(n), k)
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, rows)), dtype=np.intp
-        )
-        if flat.size == 0:
-            return
-        yield flat.reshape(-1, k)
-
-
 def _support_balls(P: np.ndarray, m: int):
     """(centers, radii, witnesses) of every support set whose circumball is
     the MEB of some size-m subset of the points P, duplicates kept.
@@ -158,7 +142,7 @@ def _support_balls(P: np.ndarray, m: int):
     """
     n, d = P.shape
     slack = 1e-12 * float(np.abs(P).max())
-    rows = max(1, _SUPPORT_CHUNK_ELEMS // (n * d))
+    rows = max(1, _CHUNK_ELEMS // (n * d))
     centers, radii, witnesses = [], [], []
     for k in range(1, min(d + 1, m) + 1):
         for S in _index_chunks(n, k, rows):
@@ -169,10 +153,7 @@ def _support_balls(P: np.ndarray, m: int):
                 V = P[S[:, 1:]] - base[:, None, :]
                 G = V @ V.transpose(0, 2, 1)
                 b = 0.5 * np.einsum("sij,sij->si", V, V)
-                # full rank by the Hadamard ratio det(G) / prod(G_ii): 1 for
-                # orthogonal rows, 0 for dependent ones
-                floor = (k - 1) * np.finfo(float).eps * np.prod(2.0 * b, axis=1)
-                ok = np.linalg.det(G) > floor
+                ok = _full_rank(G)
                 G[~ok] = np.eye(k - 1)
                 beta = np.linalg.solve(G, b[..., None])[..., 0]
                 ok &= (beta >= -1e-12).all(axis=1) & (beta.sum(axis=1) <= 1.0 + 1e-12)

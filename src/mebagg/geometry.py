@@ -96,43 +96,61 @@ def circumball(points) -> Ball:
 # strictly raises the working-set optimum, so it settles long before this.
 _MINMAX_MAX_ROUNDS = 500
 
+# Index subsets solved per batch: each batch holds a few rows x n x d arrays,
+# so this element budget bounds the working memory at any n.
+_CHUNK_ELEMS = 1 << 16
+
+
+def _index_chunks(n: int, k: int, rows: int):
+    """The k-subsets of range(n) in lexicographic order, ``rows`` at a time."""
+    combos = itertools.combinations(range(n), k)
+    while chunk := list(itertools.islice(combos, rows)):
+        flat = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, len(chunk) * k)
+        yield flat.reshape(len(chunk), k)
+
+
+def _full_rank(G: np.ndarray) -> np.ndarray:
+    """Which Gram matrices in the batch G are nonsingular, by the Hadamard
+    ratio det(G) / prod(G_ii): 1 for orthogonal rows, 0 for dependent ones."""
+    diag = np.diagonal(G, axis1=-2, axis2=-1)
+    return np.linalg.det(G) > G.shape[-1] * np.finfo(float).eps * np.prod(diag, axis=-1)
+
 
 def _best_basis(C: np.ndarray, R: np.ndarray, work: list[int]):
-    """Exact optimum of max ||y - c_i||/r_i over the balls in ``work``.
+    """Exact optimum of max ||y - c_i||/r_i over the balls in ``work``,
+    whose last ball violates the optimum of the others.
 
-    Every subset S of at most d+1 balls is solved in closed form, the
-    weighted analogue of ``circumball``. Take c_0 as the ball of S with the
-    smallest radius and V as the rows c_i - c_0. Then y = c_0 + V^T beta has
-    the same ratio rho at every ball of S when G beta = b - q delta, with
-    q = rho^2, G = V V^T, b_i = |v_i|^2/2 and delta_i = (r_i^2 - r_0^2)/2.
-    So y(q) = c_0 + a - q w is a line, and |y(q) - c_0|^2 = q r_0^2 is a
-    quadratic in q. Its smaller root is the optimum of S whenever that
-    optimum has every ball of S tight, and then y lies in conv(S).
-    Referencing the smallest radius, with the discriminant formed from the
-    offset of c_0 from that line, keeps the root accurate when one radius
-    is tiny next to the others.
+    A subset S of at most d+1 balls is solved in closed form. With c_0 the
+    ball of S of smallest radius, V the rows c_i - c_0, G = V V^T,
+    b_i = |v_i|^2/2, delta_i = (r_i^2 - r_0^2)/2 and q = rho^2, the point
+    y = c_0 + V^T gamma with G gamma = b - q delta has ratio rho at every
+    ball of S. That is a line y(q) = c_0 + a - q w, and |y(q) - c_0|^2 =
+    q r_0^2 fixes q; forming the discriminant from the offset of c_0 from
+    the line keeps the root accurate when one radius is tiny.
 
-    A candidate counts when every ball of S is tight at y; its rho is the
-    largest ratio over ``work``, so no candidate undercuts the optimum of
-    ``work`` and the basis of that optimum attains it. Returns (y, rho, S)
-    for the candidate with the smallest rho, or None when none counts.
+    The problem is LP-type, so the violator is in every basis of ``work``
+    (Gaertner, ESA 1999). Only subsets holding it are solved, level by
+    level by how many other balls they drop, largest first. S is certified
+    when its balls are tight at y (rho is the largest ratio over ``work``)
+    and y is in conv(S): gamma >= 0, sum(gamma) <= 1. That is the KKT
+    condition, so the first certified S is optimal and ends the search.
+    Should rounding certify none, the tight S of smallest rho is returned
+    as (y, rho, S); None when no S is tight.
     """
     CW, RW = C[work], R[work]
     m, d = CW.shape
     # a ratio is accurate to about eps * |y - c|/r, which a tiny ball inflates
     slack = 1e-10 + 1e-12 * RW.max() / RW.min()
+    rows = max(1, _CHUNK_ELEMS // (m * d))
     best = None
-    for k in range(1, min(m, d + 1) + 1):
-        subs = np.array(list(itertools.combinations(range(m), k)))
-        subs = np.take_along_axis(subs, np.argsort(RW[subs], axis=1), axis=1)
-        Cs, Rs = CW[subs], RW[subs]
-        if k == 1:
-            y = Cs[:, 0]
-            ok = np.ones(len(subs), dtype=bool)
-        else:
+    for k in range(min(m, d + 1), 0, -1):
+        for others in _index_chunks(m - 1, k - 1, rows):
+            subs = np.column_stack([others, np.full(len(others), m - 1)])
+            subs = np.take_along_axis(subs, np.argsort(RW[subs], axis=1), axis=1)
+            Cs, Rs = CW[subs], RW[subs]
             V = Cs[:, 1:] - Cs[:, :1]
             G = V @ V.transpose(0, 2, 1)
-            ok = np.linalg.matrix_rank(G) == k - 1
+            ok = _full_rank(G)
             G[~ok] = np.eye(k - 1)
             r0sq = Rs[:, 0] ** 2
             b = 0.5 * np.einsum("sij,sij->si", V, V)
@@ -148,13 +166,16 @@ def _best_basis(C: np.ndarray, R: np.ndarray, work: list[int]):
             ok &= lin > 0
             q = 2.0 * aa / np.where(ok, lin + np.sqrt(np.maximum(disc, 0.0)), np.inf)
             y = Cs[:, 0] + a - q[:, None] * w
-        ratios = np.linalg.norm(CW[None, :, :] - y[:, None, :], axis=2) / RW
-        rho = ratios.max(axis=1)
-        ok &= np.take_along_axis(ratios, subs, axis=1).min(axis=1) >= rho * (1.0 - slack)
-        if ok.any():
-            i = int(np.argmin(np.where(ok, rho, np.inf)))
-            if best is None or rho[i] < best[1]:
+            ratios = np.linalg.norm(CW[None, :, :] - y[:, None, :], axis=2) / RW
+            rho = ratios.max(axis=1)
+            ok &= np.take_along_axis(ratios, subs, axis=1).min(axis=1) >= rho * (1.0 - slack)
+            gamma = beta[..., 0] - q[:, None] * beta[..., 1]
+            certified = ok & (gamma >= -1e-10).all(axis=1) & (gamma.sum(axis=1) <= 1.0 + 1e-10)
+            i = int(np.argmin(np.where(certified if certified.any() else ok, rho, np.inf)))
+            if ok[i] and (certified[i] or best is None or rho[i] < best[1]):
                 best = (y[i], float(rho[i]), [work[j] for j in subs[i]])
+                if certified[i]:
+                    return best
     return best
 
 
@@ -165,10 +186,10 @@ def _one_center(C: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:
     combinatorial dimension d+1, so the optimum is fixed by at most d+1
     tight balls whose centers hold y in their convex hull. An active-set
     loop finds them: solve the working set exactly (``_best_basis``), stop
-    when no ball has a larger ratio, else replace the working set by the
-    optimal support plus the worst violator. The working set never exceeds
-    d+2 balls and its optimum strictly rises each round. With every r_i = 1
-    this is the minimum enclosing ball of the centers.
+    when no ball has a larger ratio, else make the optimal support plus the
+    worst violator, kept last for ``_best_basis``, the new working set. It
+    never exceeds d+2 balls and its optimum strictly rises each round. With
+    every r_i = 1 this is the minimum enclosing ball of the centers.
     """
     # a local origin keeps the closed-form solves well scaled at any offset;
     # power-of-two scales bring the spread and the radii near 1 without
@@ -182,22 +203,18 @@ def _one_center(C: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:
     # then the ball farthest from it by ||c_i - c_j|| / (r_i + r_j)
     i = int(np.argmax(np.linalg.norm(local, axis=1) / R))
     j = int(np.argmax(np.linalg.norm(local - local[i], axis=1) / (R + R[i])))
-    work = sorted({i, j})
+    work = [i, j] if i != j else [i]
     for _ in range(_MINMAX_MAX_ROUNDS):
         best = _best_basis(local, R, work)
         if best is None:
-            raise NonConvergenceError(
-                f"no support of the working set {work} certified its optimum"
-            )
+            raise NonConvergenceError(f"no support of the working set {work} is tight")
         y, rho, support = best
         ratios = np.linalg.norm(local - y, axis=1) / R
         worst = int(np.argmax(ratios))
         if ratios[worst] <= rho * (1.0 + 1e-12):
             return np.ldexp(y, cexp) + origin, float(np.ldexp(rho, cexp - rexp))
         work = support + [worst]
-    raise NonConvergenceError(
-        f"active set did not settle within {_MINMAX_MAX_ROUNDS} rounds"
-    )
+    raise NonConvergenceError(f"active set did not settle within {_MINMAX_MAX_ROUNDS} rounds")
 
 
 def meb(points) -> Ball:
@@ -214,8 +231,10 @@ def meb(points) -> Ball:
     if uniq.shape[0] == 1:
         return Ball(uniq[0], 0.0)
     center, _ = _one_center(uniq, np.ones(uniq.shape[0]))
-    # pin containment: report the realized covering radius
-    radius = float(np.max(np.linalg.norm(pts - center, axis=1)))
+    # pin containment with the realized radius; a power-of-two scale keeps squares in range
+    diff = pts - center
+    e = int(np.frexp(np.abs(diff).max())[1])
+    radius = float(np.ldexp(np.linalg.norm(np.ldexp(diff, -e), axis=1).max(), e))
     return Ball(center, radius)
 
 

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 from pathlib import Path
 
@@ -41,12 +42,15 @@ def test_meb_two_points_midpoint():
     ball = meb([(0.0, 0.0), (0.0, 1.0)])
     assert np.allclose(ball.center, [0.0, 0.5], atol=1e-12)
     assert math.isclose(ball.radius, 0.5, rel_tol=1e-12)
-    # squared lengths of this spread underflow unless the solve rescales; the
-    # realized radius still squares subnormal numbers
+    # squared lengths of these spreads underflow or overflow unless both the
+    # solve and the realized radius rescale
     ball = meb([(0.0, 0.0), (0.0, 6.5e-159)])
     assert ball.center[0] == 0.0
     assert math.isclose(ball.center[1], 3.25e-159, rel_tol=1e-12)
-    assert math.isclose(ball.radius, 3.25e-159, rel_tol=1e-6)
+    assert math.isclose(ball.radius, 3.25e-159, rel_tol=1e-12)
+    ball = meb([(1e300, 0.0), (1.5e300, 0.0)])
+    assert np.allclose(ball.center, [1.25e300, 0.0], rtol=1e-12)
+    assert math.isclose(ball.radius, 2.5e299, rel_tol=1e-12)
 
 
 def test_meb_unit_square():
@@ -143,9 +147,105 @@ def test_meb_optimality_certificate_any_dimension(d):
             assert dists.max() <= ball.radius
             tight = np.unique(pts[dists >= ball.radius * (1.0 - 1e-9)], axis=0)
             assert dist_to_hull(ball.center, tight) <= 1e-9 * ball.radius
-    if d in (11, 14):
+    if d in (11, 14, 17, 20):
         ball = meb(np.eye(d + 1))
         assert math.isclose(ball.radius, math.sqrt(d / (d + 1)), rel_tol=1e-12)
+
+
+def _all_subsets_basis(C, R, work):
+    """Exhaustive working-set optimum: every subset of at most d+1 balls of
+    ``work`` solved in closed form (as ``geometry._best_basis`` does), the
+    smallest rho among the candidates whose balls are all tight."""
+    CW, RW = C[work], R[work]
+    m, d = CW.shape
+    slack = 1e-10 + 1e-12 * RW.max() / RW.min()
+    best = None
+    for k in range(1, min(m, d + 1) + 1):
+        subs = np.array(list(itertools.combinations(range(m), k)))
+        subs = np.take_along_axis(subs, np.argsort(RW[subs], axis=1), axis=1)
+        Cs, Rs = CW[subs], RW[subs]
+        if k == 1:
+            y = Cs[:, 0]
+            ok = np.ones(len(subs), dtype=bool)
+        else:
+            V = Cs[:, 1:] - Cs[:, :1]
+            G = V @ V.transpose(0, 2, 1)
+            ok = np.linalg.matrix_rank(G) == k - 1
+            G[~ok] = np.eye(k - 1)
+            r0sq = Rs[:, 0] ** 2
+            b = 0.5 * np.einsum("sij,sij->si", V, V)
+            delta = 0.5 * (Rs[:, 1:] ** 2 - r0sq[:, None])
+            beta = np.linalg.solve(G, np.stack([b, delta], axis=2))
+            a = np.einsum("si,sid->sd", beta[..., 0], V)
+            w = np.einsum("si,sid->sd", beta[..., 1], V)
+            aa, aw, ww = (a * a).sum(axis=1), (a * w).sum(axis=1), (w * w).sum(axis=1)
+            a_perp = a - (aw / np.where(ww > 0, ww, 1.0))[:, None] * w
+            lin = 2.0 * aw + r0sq
+            disc = r0sq * r0sq + 4.0 * r0sq * aw - 4.0 * ww * (a_perp * a_perp).sum(axis=1)
+            ok &= lin > 0
+            q = 2.0 * aa / np.where(ok, lin + np.sqrt(np.maximum(disc, 0.0)), np.inf)
+            y = Cs[:, 0] + a - q[:, None] * w
+        ratios = np.linalg.norm(CW[None, :, :] - y[:, None, :], axis=2) / RW
+        rho = ratios.max(axis=1)
+        ok &= np.take_along_axis(ratios, subs, axis=1).min(axis=1) >= rho * (1.0 - slack)
+        if ok.any():
+            i = int(np.argmin(np.where(ok, rho, np.inf)))
+            if best is None or rho[i] < best[1]:
+                best = (y[i], float(rho[i]), [work[j] for j in subs[i]])
+    return best
+
+
+def _working_sets(rng, count):
+    """(C, R, work) for the working sets of three or more balls that
+    ``_one_center`` solves on random ball sets in d <= 6, until ``count`` of
+    them are collected; the first round's pair is skipped."""
+    solve = mebagg.geometry._best_basis
+    seen = []
+
+    def record(C, R, work):
+        if len(work) > 2:
+            seen.append((C, R, list(work)))
+        return solve(C, R, work)
+
+    layouts = ("generic", "coincident", "collinear", "tiny", "offset")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mebagg.geometry, "_best_basis", record)
+        while len(seen) < count:
+            for layout in layouts:
+                n, d = int(rng.integers(10, 80)), int(rng.integers(1, 7))
+                C = rng.normal(size=(n, d))
+                R = np.ones(n) if rng.random() < 0.3 else rng.uniform(0.2, 2.0, size=n)
+                if layout == "coincident":
+                    C = C[rng.integers(0, max(2, n // 3), size=n)]
+                elif layout == "collinear":
+                    C = np.outer(rng.normal(size=n), rng.normal(size=d))
+                elif layout == "tiny":
+                    R[rng.integers(n)] = 1e-9 * R.max()
+                elif layout == "offset":
+                    C += 1e6
+                mebagg.geometry._one_center(C, R)
+    return seen
+
+
+def test_best_basis_matches_all_subsets_oracle():
+    # the level search solves only the supports holding the violator and
+    # stops at the first KKT-certified one; the exhaustive search agrees
+    rng = np.random.default_rng(2024)
+    cases = _working_sets(rng, 1000)
+    assert len(cases) >= 1000
+    for C, R, work in cases:
+        y, rho, support = mebagg.geometry._best_basis(C, R, work)
+        _, rho_all, _ = _all_subsets_basis(C, R, work)
+        assert math.isclose(rho, rho_all, rel_tol=1e-12), (work, rho, rho_all)
+        # certified: every ball of the support is tight at rho and y has
+        # non-negative barycentric weights over the support centers
+        ratios = np.linalg.norm(C[support] - y, axis=1) / R[support]
+        slack = 1e-10 + 1e-12 * R[work].max() / R[work].min()
+        assert ratios.min() >= rho * (1.0 - slack)
+        A = np.vstack([C[support].T, np.ones(len(support))])
+        weights = np.linalg.lstsq(A, np.append(y, 1.0), rcond=None)[0]
+        assert weights.min() >= -1e-9
+        assert np.linalg.norm(A @ weights - np.append(y, 1.0)) <= 1e-9
 
 
 def test_geometry_imports_no_higher_layer():
