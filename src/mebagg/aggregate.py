@@ -257,7 +257,11 @@ def coordwise_median(points, t: int = 0) -> AggregateResult:
 
 def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
     """Minimum-diameter averaging: mean of a size-(n-t) subset of smallest
-    diameter; ties go to the lexicographically smallest index set."""
+    diameter; ties go to the lexicographically smallest index set.
+
+    The subsets are walked in lexicographic order, in chunks that hold about
+    ``_CHUNK_ELEMS`` pair distances, so memory stays bounded at any count.
+    """
     pts = as_points(points)
     n = pts.shape[0]
     _check_fault_budget(n, t)
@@ -268,17 +272,16 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
             f"C({n},{m}) = {count} subsets exceeds the cap of {max_subsets}"
         )
     dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    if m == 1:
-        best_sub = (0,)
-    else:
+    # the lex-first subset stands until a strictly smaller diameter displaces
+    # it; argmin keeps the first of a chunk's ties
+    best, best_sub = math.inf, tuple(range(m))
+    if m > 1:
         pair_rows, pair_cols = np.triu_indices(m, k=1)
-        subs = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(n), m)),
-            dtype=np.int64,
-        ).reshape(-1, m)
-        diams = dmat[subs[:, pair_rows], subs[:, pair_cols]].max(axis=1)
-        idx = int(np.argmin(diams))  # argmin keeps the first (lex-smallest)
-        best_sub = tuple(int(i) for i in subs[idx])
+        for subs in _index_chunks(n, m, max(1, _CHUNK_ELEMS // pair_rows.size)):
+            diams = dmat[subs[:, pair_rows], subs[:, pair_cols]].max(axis=1)
+            idx = int(np.argmin(diams))
+            if diams[idx] < best:
+                best, best_sub = diams[idx], tuple(int(i) for i in subs[idx])
     out = pts[list(best_sub)].mean(axis=0)
     return AggregateResult(output=out, rule="mda", chosen_subset=best_sub)
 

@@ -134,7 +134,7 @@ def certify(ctx, input_path, y_text, faults, c_bound, ignore_labels):
             c_meb = check_c_meb(y, honest, 1.0 if c_bound is None else c_bound, tol=tol)
             factor = c_meb.achieved
             certificates = [
-                check_convex(y, honest).to_dict(),
+                check_convex(y, honest, tol=tol).to_dict(),
                 check_box(y, honest, tol=tol).to_dict(),
             ]
             if c_bound is not None:

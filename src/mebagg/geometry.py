@@ -20,7 +20,6 @@ from .errors import (
 )
 from .pointset import as_points, as_vector
 
-HULL_TOL = 1e-7
 HULL_MAX_ITER = 10_000
 
 
@@ -259,100 +258,63 @@ def dist_to_ball(y, ball: Ball) -> float:
     return max(0.0, float(np.linalg.norm(v - ball.center)) - ball.radius)
 
 
-def dist_to_hull(
-    y,
-    points,
-    *,
-    tol: float = HULL_TOL,
-    max_iter: int = HULL_MAX_ITER,
-    return_witness: bool = False,
-):
-    """Euclidean distance from y to the convex hull of the points.
+def dist_to_hull(y, points, *, max_iter: int = HULL_MAX_ITER, return_witness: bool = False):
+    """Euclidean distance from y to the convex hull of the points, exactly.
 
-    Solved as min ||Pw - y|| over the simplex of convex weights with a
-    pairwise Frank-Wolfe iteration (exact line search). Accurate to roughly
-    ``max(tol, sqrt(8 eps)) * scale`` in the distance, with scale = 1 + the
-    largest distance from y to a point and eps the float epsilon: the
-    duality gap that stops the iteration bounds the squared distance, and
-    it cannot settle below a few ulps of scale^2, so below ``tol`` of about
-    4e-8 the floor sets the accuracy. When there are at most d+1 distinct
-    points and y lies in their hull, one least-squares solve for y's
-    barycentric weights settles it first: the result is then the solve's
-    residual, within ``tol * scale`` of y.
+    Wolfe's min-norm-point algorithm (Math. Programming 11, 1976) on the
+    points p_i taken relative to y. A corral of affinely independent points
+    holds the current nearest point x = sum(lam_j p_j). Each major cycle
+    adds the point minimizing <x, p>, and stops when no point improves on
+    ||x||^2 beyond rounding (8 eps max||p||^2), when the best one is already
+    in the corral, or when rounding keeps the cycle from shortening x. Each
+    minor cycle solves the affine system [G 1; 1^T 0] for the corral's
+    nearest affine point; when a weight turns non-positive, x steps to the
+    boundary of the corral's hull and drops that point. The algorithm is
+    finite; ``max_iter`` caps the major cycles. The distance is the length
+    of the returned witness from y.
 
     Parameters
     ----------
-    return_witness : also return the nearest hull point found.
+    return_witness : also return the nearest hull point.
     """
     pts = as_points(points)
     v = as_vector(y, pts.shape[1])
-    # repeats leave the hull unchanged but can hide a simplex from the
-    # pre-check below; first copies keep their order
-    _, first = np.unique(pts, axis=0, return_index=True)
-    pts = pts[np.sort(first)]
-    n = pts.shape[0]
-    scale = 1.0 + float(np.max(np.linalg.norm(pts - v, axis=1)))
-    # the gap is a difference of products of size scale^2, so it cannot
-    # settle below a few ulps of that, however small tol is
-    gap_tol = max((tol * scale) ** 2, 8.0 * np.finfo(float).eps * scale**2)
-
-    # start at the nearest vertex
-    d0 = np.linalg.norm(pts - v, axis=1)
-    w = np.zeros(n)
-    w[int(np.argmin(d0))] = 1.0
-    x = pts[int(np.argmin(d0))].copy()
-
-    if n == 1:
-        dist = float(np.linalg.norm(x - v))
-        return (dist, x) if return_witness else dist
-
-    if n <= pts.shape[1] + 1:
-        # a simplex: y inside it has non-negative barycentric weights, which
-        # one least-squares solve finds, where Frank-Wolfe crawls
-        V = pts[1:] - pts[0]
-        beta = np.linalg.lstsq(V.T, v - pts[0], rcond=None)[0]
-        inside = pts[0] + beta @ V
-        if (beta >= 0).all() and beta.sum() <= 1.0 and np.linalg.norm(inside - v) <= tol * scale:
-            dist = float(np.linalg.norm(inside - v))
-            return (dist, inside) if return_witness else dist
-
-    converged = False
+    # a power-of-two scale keeps the Gram matrix near the unit row, without rounding
+    e = int(np.frexp(np.abs(pts - v).max())[1])
+    P = np.ldexp(pts - v, -e)
+    sq = np.einsum("ij,ij->i", P, P)
+    floor = 8.0 * np.finfo(float).eps * sq.max()
+    corral, lam = [int(np.argmin(sq))], np.ones(1)
+    x = P[corral[0]]
     for _ in range(max_iter):
-        grad = pts @ (x - v)  # 0.5 * gradient w.r.t. w, per-vertex
-        s = int(np.argmin(grad))
-        active = np.flatnonzero(w > 0)
-        a = active[int(np.argmax(grad[active]))]
-        fw_gap = float((x - v) @ (x - pts[s]))
-        if fw_gap <= gap_tol * 0.5:
-            converged = True
+        j = int(np.argmin(P @ x))
+        if x @ x - P[j] @ x <= floor or j in corral:
             break
-        direction = pts[s] - pts[a]
-        dd = float(direction @ direction)
-        if dd <= 0.0:
-            converged = True
-            break
-        step = float((v - x) @ direction) / dd
-        step = min(max(step, 0.0), w[a])
-        if step == 0.0:
-            # away vertex saturated and no progress available
-            converged = True
-            break
-        w[s] += step
-        w[a] -= step
-        if w[a] < 1e-17:
-            w[a] = 0.0
-        x = x + step * direction
-
-    if not converged:
-        grad = pts @ (x - v)
-        s = int(np.argmin(grad))
-        fw_gap = float((x - v) @ (x - pts[s]))
-        if fw_gap > gap_tol:
-            raise NonConvergenceError(
-                f"hull projection did not reach tolerance in {max_iter} iterations"
-            )
-    dist = float(np.linalg.norm(x - v))
-    return (dist, x) if return_witness else dist
+        corral, lam = corral + [j], np.append(lam, 0.0)
+        while True:
+            k = len(corral)
+            A = np.ones((k + 1, k + 1))
+            A[:k, :k] = P[corral] @ P[corral].T
+            A[k, k] = 0.0
+            alpha = np.linalg.solve(A, np.eye(k + 1)[k])[:k]
+            if (alpha > 0).all():
+                lam = alpha
+                break
+            # move toward the affine point until the first weight reaches 0
+            steps = np.where(alpha <= 0, lam / np.where(lam > alpha, lam - alpha, 1.0), np.inf)
+            i = int(np.argmin(steps))
+            lam = lam + steps[i] * (alpha - lam)
+            lam[i] = 0.0
+            keep = lam > 0
+            corral, lam = [c for c, kp in zip(corral, keep) if kp], lam[keep]
+        x, last = lam @ P[corral], x
+        if x @ x >= last @ last:
+            break  # rounding has stalled the descent
+    else:
+        raise NonConvergenceError(f"hull projection did not settle within {max_iter} major cycles")
+    witness = np.ldexp(x, e) + v
+    dist = float(np.linalg.norm(witness - v))
+    return (dist, witness) if return_witness else dist
 
 
 def sample_in_ball(rng: np.random.Generator, d: int, radius: float) -> np.ndarray:

@@ -22,7 +22,6 @@ from .geometry import Ball, diameter, dist_to_ball, dist_to_hull, meb, sample_in
 from .pointset import as_points, as_vector
 
 ABS_TOL = 1e-9
-HULL_PASS_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -119,12 +118,17 @@ def safe_meb_empty(balls: CandidateBalls, *, tol: float = 1e-9) -> tuple[bool, f
     return value > tol, value
 
 
-def check_convex(y, honest, *, tol_hull: float = HULL_PASS_TOL) -> Certificate:
-    """Is y inside the convex hull of the honest points?"""
+def check_convex(y, honest, *, tol: float = ABS_TOL) -> Certificate:
+    """Is y inside the convex hull of the honest points?
+
+    The distance is exact (``dist_to_hull``), so ``tol`` only absorbs
+    rounding; it scales as lengths do (``_length_tol``). The witness is the
+    nearest hull point.
+    """
     pts = as_points(honest)
     v = as_vector(y, pts.shape[1])
     achieved, witness = dist_to_hull(v, pts, return_witness=True)
-    return _certify("convex", achieved, 0.0, tol_hull, witness)
+    return _certify("convex", achieved, 0.0, tol, witness, points=pts)
 
 
 def check_box(y, honest, *, tol: float = ABS_TOL) -> Certificate:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -56,6 +57,26 @@ def test_mda_zero_diameter_pair():
     result = mda([(0.0, 0.0), (0.0, 0.0), (5.0, 5.0)], 1)
     assert np.allclose(result.output, [0, 0], atol=1e-12)
     assert result.chosen_subset == (0, 1)
+
+
+def test_mda_chunks_match_bruteforce(monkeypatch):
+    # integer grids tie many diameters exactly; a tiny chunk budget puts
+    # those ties across chunk boundaries, where the first subset must win
+    monkeypatch.setattr(aggregate, "_CHUNK_ELEMS", 5)
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        n = int(rng.integers(3, 10))
+        t = int(rng.integers(0, n - 1))
+        pts = rng.integers(0, 3, size=(n, 2)).astype(float)
+        expected = min(
+            itertools.combinations(range(n), n - t),
+            key=lambda S: max((math.dist(pts[i], pts[j]) for i, j in itertools.combinations(S, 2)),
+                              default=0.0),
+        )
+        assert mda(pts, t).chosen_subset == expected
+    # every diameter overflows to inf: the lex-first subset still wins
+    with np.errstate(over="ignore"):
+        assert mda([(-1e308,), (1e308,), (0.0,)], 0).chosen_subset == (0, 1, 2)
 
 
 def test_mda_budget_errors():

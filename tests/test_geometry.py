@@ -19,6 +19,7 @@ from mebagg import (
     diameter,
     dist_to_ball,
     dist_to_hull,
+    geometric_median,
     meb,
     mda,
     meb_bruteforce,
@@ -329,8 +330,8 @@ def test_dist_to_hull_inside_hull_is_zero(rng):
 
 
 def test_dist_to_hull_inside_a_simplex(rng):
-    # at most d+1 points: interior points are settled by their barycentric
-    # weights, where pairwise Frank-Wolfe needs about 1e5 iterations
+    # y inside a simplex of at most d+1 points: the corral must take every
+    # vertex, and the witness is y up to rounding
     inst = random_instance(15, 6, 8, seed=0)
     honest = inst.points.honest_points()
     y = mda(inst.points.points, 6).output
@@ -362,10 +363,81 @@ def test_dist_to_hull_empty_error():
 def test_dist_to_hull_iteration_cap():
     from mebagg import NonConvergenceError
 
-    # nearest hull point is interior to the face, unreachable in one step
+    # nearest hull point is interior to the face: two major cycles add the
+    # other two vertices, and a third confirms the optimum
     pts = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-    with pytest.raises(NonConvergenceError):
-        dist_to_hull((2.0, 2.0, 2.0), pts, max_iter=1, tol=1e-12)
+    for max_iter in (1, 2):
+        with pytest.raises(NonConvergenceError):
+            dist_to_hull((2.0, 2.0, 2.0), pts, max_iter=max_iter)
+    assert math.isclose(dist_to_hull((2.0, 2.0, 2.0), pts, max_iter=3), 5 / math.sqrt(3))
+    # a geometric-median output 0.12 from the hull of 8 points in d = 8,
+    # where pairwise Frank-Wolfe ran out of its iterations
+    inst = random_instance(10, 2, 8, seed=594099398, strategy="cluster")
+    y = geometric_median(inst.points.points, 2).output
+    assert math.isclose(dist_to_hull(y, inst.points.honest_points()), 0.119558, abs_tol=1e-6)
+
+
+def test_dist_to_hull_stops_when_rounding_stalls():
+    # 35 lattice points of a 3-plane in R^12 and y far off it: at the
+    # optimum the best point's gain is a hair above the rounding floor, and
+    # each major cycle would give back the same x until the cap
+    rng = np.random.default_rng(10582)
+    n, k = int(rng.integers(10, 40)), int(rng.integers(2, 5))
+    basis = rng.normal(size=(k, 12))
+    pts = rng.integers(-2, 3, size=(n, k)) @ basis
+    spread = np.abs(pts - pts.mean(axis=0)).max() + 1.0
+    y = pts.mean(axis=0) + spread * rng.normal(size=12) * rng.choice([0.1, 0.3, 1, 3, 100])
+    dist, x = dist_to_hull(y, pts, return_witness=True)
+    scale = float(np.linalg.norm(pts - y, axis=1).max())
+    assert ((pts - x) @ (y - x)).max() <= 1e-12 * scale**2
+    assert math.isclose(dist, 62.83574147582559, rel_tol=1e-12)
+
+
+def _all_faces_dist(y, pts):
+    """Exhaustive hull distance: y projected onto aff(S) for every affinely
+    independent S of at most d+1 points, the nearest projection with
+    non-negative weights."""
+    n, d = pts.shape
+    best = math.inf
+    for k in range(1, min(n, d + 1) + 1):
+        for S in itertools.combinations(range(n), k):
+            V = pts[list(S[1:])] - pts[S[0]]
+            if k > 1 and np.linalg.matrix_rank(V) < k - 1:
+                continue
+            beta = np.linalg.solve(V @ V.T, V @ (y - pts[S[0]])) if k > 1 else np.zeros(0)
+            if beta.min(initial=0.0) >= -1e-12 and beta.sum() <= 1.0 + 1e-12:
+                best = min(best, float(np.linalg.norm(pts[S[0]] + beta @ V - y)))
+    return best
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_dist_to_hull_optimality_certificate_any_dimension(d):
+    # a hull point x is the nearest one iff <y - x, p - x> <= 0 for every
+    # point p; on small sets the all-faces oracle also checks the distance
+    # and that x lies in the hull
+    rng = np.random.default_rng(700 + d)
+    for layout in ("generic", "collinear", "repeated", "offset"):
+        for inside in (False, True):
+            for _ in range(3):
+                n = int(rng.integers(2, 13))
+                pts = rng.normal(size=(n, d))
+                if layout == "collinear":
+                    pts = np.outer(rng.normal(size=n), rng.normal(size=d)) + rng.normal(size=d)
+                elif layout == "repeated":
+                    pts = pts[rng.integers(0, max(2, n // 3), size=n)]
+                elif layout == "offset":
+                    pts += 1e3
+                if inside:
+                    y = rng.dirichlet(np.ones(n)) @ pts
+                else:
+                    y = pts.mean(axis=0) + 2.0 * rng.normal(size=d)
+                scale = float(np.linalg.norm(pts - y, axis=1).max())
+                dist, x = dist_to_hull(y, pts, return_witness=True)
+                assert dist == np.linalg.norm(x - y)
+                assert ((pts - x) @ (y - x)).max() <= 1e-12 * scale**2
+                if n <= 8:
+                    assert abs(dist - _all_faces_dist(y, pts)) <= 1e-12 * scale
+                    assert _all_faces_dist(x, pts) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -456,4 +528,4 @@ def test_dist_to_hull_tight_tol_on_segment():
         for _ in range(20):
             pts = rng.normal(size=(2, d))
             y = pts[0] + rng.random() * (pts[1] - pts[0])
-            assert dist_to_hull(y, pts, tol=1e-9) <= 1e-12
+            assert dist_to_hull(y, pts) <= 1e-12
