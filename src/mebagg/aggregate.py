@@ -23,7 +23,15 @@ from .errors import (
     ResilienceViolationError,
     TooManySubsetsError,
 )
-from .geometry import _CHUNK_ELEMS, Ball, _full_rank, _index_chunks, _one_center, meb
+from .geometry import (
+    _CHUNK_ELEMS,
+    Ball,
+    _full_rank,
+    _index_chunks,
+    _one_center,
+    _spread_exp,
+    meb,
+)
 from .pointset import as_points, as_vector
 
 MAX_SUBSETS = 2_000_000
@@ -91,6 +99,21 @@ class CandidateBalls:
         R.setflags(write=False)
         return C, R
 
+    @cached_property
+    def _unit(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centers about the first one and radii, in the power-of-two unit
+        just above their spread: the frame, free of offset and scale, in
+        which zero radii and duplicate balls are judged."""
+        C, R = self._arrays
+        local = C - C[0]
+        e = max(_spread_exp(local), _spread_exp(R))
+        return np.ldexp(local, -e), np.ldexp(R, -e)
+
+    @cached_property
+    def _zero(self) -> np.ndarray:
+        """Mask of the balls with radius at most 1e-12 in ``_unit``."""
+        return self._unit[1] <= 1e-12
+
     def centers(self) -> np.ndarray:
         return self._arrays[0]
 
@@ -100,22 +123,16 @@ class CandidateBalls:
     def ratios(self, y) -> np.ndarray:
         """||y - c|| / r for every ball: at most 1 inside, above 1 outside.
 
-        A zero-radius ball (``_zero_radius``) scores 0 when y lies within
+        A zero-radius ball (``_zero``) scores 0 when y lies within
         1e-9 * (1 + largest center coordinate) of its center, and infinity
         otherwise.
         """
-        C, R = self._arrays
+        (C, R), zero = self._arrays, self._zero
         dist = np.linalg.norm(C - as_vector(y, C.shape[1]), axis=1)
-        zero = _zero_radius(C, R)
         if not zero.any():
             return dist / R
         miss = dist > 1e-9 * (1.0 + float(np.abs(C).max()))
         return np.where(zero, np.where(miss, math.inf, 0.0), dist / np.where(zero, 1.0, R))
-
-
-def _zero_radius(C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Mask of the balls with r <= 1e-12 * (1 + largest center coordinate)."""
-    return R <= 1e-12 * (1.0 + float(np.abs(C).max()))
 
 
 def _check_fault_budget(n: int, t: int) -> None:
@@ -125,7 +142,9 @@ def _check_fault_budget(n: int, t: int) -> None:
 
 def _ball_keys(centers, radii) -> np.ndarray:
     """One row per ball, equal exactly when two balls count as the same:
-    center and radius rounded to 12 decimals."""
+    center and radius rounded to 12 decimals. Callers take the centers
+    about a local origin and both in a power-of-two unit of the spread,
+    so the keys do not depend on offset or scale."""
     return np.round(np.column_stack([centers, radii]), 12)
 
 
@@ -179,16 +198,15 @@ def _support_balls(P: np.ndarray, m: int):
     return np.concatenate(centers), np.concatenate(radii), np.concatenate(witnesses)
 
 
-def _subset_balls(P: np.ndarray, m: int, origin: np.ndarray):
+def _subset_balls(P: np.ndarray, m: int):
     """(centers, radii, witnesses) from one ``meb`` per size-m subset of the
     points P, in lexicographic order, keeping the first subset of each
-    distinct ball; balls are keyed at their place in the caller's frame,
-    P + origin."""
+    distinct ball; P comes in the units that ``candidate_balls`` keys in."""
     seen = set()
     centers, radii, witnesses = [], [], []
     for sub in itertools.combinations(range(P.shape[0]), m):
         ball = meb(P[list(sub)])
-        key = tuple(_ball_keys(ball.center[None] + origin, [ball.radius])[0])
+        key = tuple(_ball_keys(ball.center[None], [ball.radius])[0])
         if key not in seen:
             seen.add(key)
             centers.append(ball.center)
@@ -220,20 +238,25 @@ def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> Candid
             f"{subsets} subsets of size {m} and {supports} support sets of {n} points "
             f"both exceed the cap of {max_subsets}"
         )
-    # a local origin keeps the solves well scaled at any offset
+    # a local origin keeps the solves well scaled at any offset, and a
+    # power-of-two unit of the spread keeps squares in range without
+    # rounding; the balls are built and keyed in these units
     origin = pts.mean(axis=0)
     P = pts - origin
+    e = _spread_exp(P)
+    P = np.ldexp(P, -e)
     if supports > max_subsets or subsets * _MEB_COST_IN_SUPPORTS < supports:
-        C, R, W = _subset_balls(P, m, origin)
+        C, R, W = _subset_balls(P, m)
     else:
         C, R, W = _support_balls(P, m)
     # one ball per key; the first in witness order has the smallest witness
     order = np.lexsort(W.T[::-1])
-    _, first = np.unique(_ball_keys(C[order] + origin, R[order]), axis=0, return_index=True)
+    _, first = np.unique(_ball_keys(C[order], R[order]), axis=0, return_index=True)
     keep = order[np.sort(first)]
     C, W = C[keep], W[keep]
     realized = np.linalg.norm(P[W] - C[:, None, :], axis=2).max(axis=1)
-    balls = tuple(Ball(c + origin, r) for c, r in zip(C, realized))
+    C, realized = np.ldexp(C, e) + origin, np.ldexp(realized, e)
+    balls = tuple(Ball(c, r) for c, r in zip(C, realized))
     witnesses = tuple(tuple(int(i) for i in w) for w in W)
     return CandidateBalls(balls=balls, subsets=witnesses, n=n, t=t)
 
@@ -261,6 +284,10 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
 
     The subsets are walked in lexicographic order, in chunks that hold about
     ``_CHUNK_ELEMS`` pair distances, so memory stays bounded at any count.
+    The walk skips every subset that holds a point with fewer than n-t-1
+    others within an attained diameter, since no such subset can beat it;
+    ``max_subsets`` still caps all C(n, n-t) subsets, counted before
+    that pruning.
     """
     pts = as_points(points)
     n = pts.shape[0]
@@ -276,8 +303,21 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
     # it; argmin keeps the first of a chunk's ties
     best, best_sub = math.inf, tuple(range(m))
     if m > 1:
+        # the m points nearest the point with the closest (m-1)-th neighbour
+        # attain a diameter D, and a subset of diameter <= D lies in the
+        # (m-1)-core of the pairs within D: peel points with fewer partners
+        i = int(np.argmin(np.partition(dmat, m - 1, axis=1)[:, m - 1]))
+        near = np.argpartition(dmat[i], m - 1)[:m]
+        close = dmat <= dmat[np.ix_(near, near)].max()
+        partners = close.sum(axis=1)  # counts the point itself
+        alive = np.ones(n, dtype=bool)
+        while (drop := alive & (partners < m)).any():
+            alive &= ~drop
+            partners -= close[:, drop].sum(axis=1)
+        core = np.flatnonzero(alive)
         pair_rows, pair_cols = np.triu_indices(m, k=1)
-        for subs in _index_chunks(n, m, max(1, _CHUNK_ELEMS // pair_rows.size)):
+        for subs in _index_chunks(core.size, m, max(1, _CHUNK_ELEMS // pair_rows.size)):
+            subs = core[subs]
             diams = dmat[subs[:, pair_rows], subs[:, pair_cols]].max(axis=1)
             idx = int(np.argmin(diams))
             if diams[idx] < best:
@@ -390,13 +430,12 @@ def solve_minmax(balls) -> tuple[np.ndarray, float]:
     cb = CandidateBalls.from_balls(balls)
     if not len(cb):
         raise EmptyInputError("no candidate balls to solve over")
-    C, R = cb.centers(), cb.radii()
-    zero = _zero_radius(C, R)
+    C, R, zero = cb.centers(), cb.radii(), cb._zero
     if zero.any():
         y = C[zero][0]
         return y, float(cb.ratios(y).max()) - 1.0
     # overlapping subsets often share one MEB; collapse the duplicates
-    _, uniq_idx = np.unique(_ball_keys(C, R), axis=0, return_index=True)
+    _, uniq_idx = np.unique(_ball_keys(*cb._unit), axis=0, return_index=True)
     if uniq_idx.size < C.shape[0]:
         C = C[np.sort(uniq_idx)]
         R = R[np.sort(uniq_idx)]

@@ -108,6 +108,12 @@ def _index_chunks(n: int, k: int, rows: int):
         yield flat.reshape(len(chunk), k)
 
 
+def _spread_exp(x) -> int:
+    """The exponent e of the power of two 2**e just above max |x| (0 for all
+    zeros); scaling by 2**-e brings x near 1 and rounds nothing."""
+    return int(np.frexp(np.abs(x).max())[1])
+
+
 def _full_rank(G: np.ndarray) -> np.ndarray:
     """Which Gram matrices in the batch G are nonsingular, by the Hadamard
     ratio det(G) / prod(G_ii): 1 for orthogonal rows, 0 for dependent ones."""
@@ -194,8 +200,7 @@ def _one_center(C: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:
     # power-of-two scales bring the spread and the radii near 1 without
     # rounding, so squared lengths neither underflow nor overflow
     origin = C.mean(axis=0)
-    cexp = int(np.frexp(np.abs(C - origin).max())[1])
-    rexp = int(np.frexp(R.max())[1])
+    cexp, rexp = _spread_exp(C - origin), _spread_exp(R)
     local = np.ldexp(C - origin, -cexp)
     R = np.ldexp(R, -rexp)
     # start from a far pair: the ball farthest by ratio from the centroid,
@@ -232,7 +237,7 @@ def meb(points) -> Ball:
     center, _ = _one_center(uniq, np.ones(uniq.shape[0]))
     # pin containment with the realized radius; a power-of-two scale keeps squares in range
     diff = pts - center
-    e = int(np.frexp(np.abs(diff).max())[1])
+    e = _spread_exp(diff)
     radius = float(np.ldexp(np.linalg.norm(np.ldexp(diff, -e), axis=1).max(), e))
     return Ball(center, radius)
 
@@ -280,7 +285,7 @@ def dist_to_hull(y, points, *, max_iter: int = HULL_MAX_ITER, return_witness: bo
     pts = as_points(points)
     v = as_vector(y, pts.shape[1])
     # a power-of-two scale keeps the Gram matrix near the unit row, without rounding
-    e = int(np.frexp(np.abs(pts - v).max())[1])
+    e = _spread_exp(pts - v)
     P = np.ldexp(pts - v, -e)
     sq = np.einsum("ij,ij->i", P, P)
     floor = 8.0 * np.finfo(float).eps * sq.max()

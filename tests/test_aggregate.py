@@ -32,6 +32,7 @@ from mebagg import (
 )
 from mebagg import aggregate
 from mebagg.aggregate import _ball_keys
+from mebagg.geometry import _spread_exp
 from conftest import random_cloud, random_rotation
 
 # ---------------------------------------------------------------------------
@@ -77,6 +78,55 @@ def test_mda_chunks_match_bruteforce(monkeypatch):
     # every diameter overflows to inf: the lex-first subset still wins
     with np.errstate(over="ignore"):
         assert mda([(-1e308,), (1e308,), (0.0,)], 0).chosen_subset == (0, 1, 2)
+
+
+def _mda_bruteforce(pts, t):
+    """The lex-first size-(n-t) subset of smallest diameter, over every subset."""
+    return min(
+        itertools.combinations(range(len(pts)), len(pts) - t),
+        key=lambda S: max((math.dist(pts[i], pts[j]) for i, j in itertools.combinations(S, 2)),
+                          default=0.0),
+    )
+
+
+@pytest.mark.parametrize("chunk_elems", [aggregate._CHUNK_ELEMS, 5], ids=["default", "tiny"])
+def test_mda_pruned_walk_matches_bruteforce(chunk_elems, monkeypatch):
+    monkeypatch.setattr(aggregate, "_CHUNK_ELEMS", chunk_elems)
+    rng = np.random.default_rng(17)
+    cases = []
+    for _ in range(40):
+        n = int(rng.integers(3, 11))
+        t = int(rng.integers(0, n - 1))
+        # integer grids tie many diameters, and the lex-first subset must win
+        cases.append((rng.integers(0, 3, size=(n, 2)).astype(float), t))
+        # a far Byzantine cluster: peeling removes it before the walk
+        b = int(rng.integers(1, max(2, n // 2)))
+        honest = rng.normal(size=(n - b, 3))
+        cases.append((np.vstack([honest, 50.0 + 0.1 * rng.normal(size=(b, 3))]), min(t, n - 2)))
+    # all points equal: every subset ties and peeling removes nothing
+    cases += [(np.zeros((9, 2)), t) for t in range(8)]
+    for pts, t in cases:
+        assert mda(pts, t).chosen_subset == _mda_bruteforce(pts, t)
+
+
+def test_mda_walks_only_the_core(monkeypatch):
+    walked = []
+    index_chunks = aggregate._index_chunks
+
+    def counting(*args):
+        for chunk in index_chunks(*args):
+            walked.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(aggregate, "_index_chunks", counting)
+    # the walk over all C(20, 13) = 77 520 subsets finds 1 in the core
+    inst = random_instance(20, 7, 2, seed=0, strategy="cluster")
+    mda(inst.points.points, 7)
+    assert 0 < sum(walked) <= 20
+    # nothing can be pruned when every diameter ties
+    walked.clear()
+    assert mda(np.zeros((12, 2)), 4).chosen_subset == tuple(range(8))
+    assert sum(walked) == math.comb(12, 8)
 
 
 def test_mda_budget_errors():
@@ -249,15 +299,20 @@ def test_candidate_balls_t0_single():
     assert np.allclose(balls.balls[0].center, ball.center, atol=1e-9)
 
 
-def _distinct_keys(balls):
-    return np.unique(_ball_keys(balls.centers(), balls.radii()), axis=0)
+def _distinct_keys(balls, pts):
+    """The distinct (center - mean of pts, radius) rows, keyed as
+    candidate_balls keys them: in a power-of-two unit of the points' spread."""
+    origin = pts.mean(axis=0)
+    e = _spread_exp(pts - origin)
+    keys = _ball_keys(np.ldexp(balls.centers() - origin, -e), np.ldexp(balls.radii(), -e))
+    return np.ldexp(np.unique(keys, axis=0), e)
 
 
 def test_candidate_balls_count():
     pts = random_cloud(np.random.default_rng(4), 5, 2)
     reference = candidate_balls_bruteforce(pts, 2)
     assert len(reference) == 10
-    assert len(candidate_balls(pts, 2)) == len(_distinct_keys(reference))
+    assert len(candidate_balls(pts, 2)) == len(_distinct_keys(reference, pts))
 
 
 def _agreement_cases():
@@ -293,7 +348,7 @@ def test_candidate_balls_agree_with_subset_oracle(pts, t, meb_cost, monkeypatch)
     monkeypatch.setattr(aggregate, "_MEB_COST_IN_SUPPORTS", meb_cost)
     balls = candidate_balls(pts, t)
     reference = candidate_balls_bruteforce(pts, t)
-    got, want = _distinct_keys(balls), _distinct_keys(reference)
+    got, want = _distinct_keys(balls, pts), _distinct_keys(reference, pts)
     assert len(balls) == len(got) == len(want)
     assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
     assert list(balls.subsets) == sorted(balls.subsets)
@@ -313,6 +368,21 @@ def test_candidate_balls_agree_with_subset_oracle(pts, t, meb_cost, monkeypatch)
     ref_factor, ref_witness = worst_designation(pts, t, y, balls=reference)
     assert math.isclose(factor, ref_factor, rel_tol=1e-10)
     assert witness == ref_witness
+
+
+def test_candidate_balls_at_extreme_scales():
+    # squared differences of coordinates near 1e300 overflow unless scaled
+    layout = np.array([(1.0, 0.0), (1.5, 0.0), (1.2, 0.1)])
+    assert len(candidate_balls(layout * 1e300, 1)) == len(candidate_balls(layout, 1)) == 3
+    # at 1e-13 absolute 12-decimal keys would merge all 7 balls into one
+    pts = np.random.default_rng(0).normal(size=(6, 2))
+    unit = candidate_balls(pts, 2)
+    tiny = candidate_balls(pts * 1e-13, 2)
+    assert len(unit) == len(tiny) == 7 and tiny.subsets == unit.subsets
+    assert np.allclose(tiny.centers() / 1e-13, unit.centers(), rtol=1e-9, atol=0)
+    assert np.allclose(tiny.radii() / 1e-13, unit.radii(), rtol=1e-9, atol=0)
+    y_unit = minmax_meb(pts, 2).output
+    assert np.allclose(minmax_meb(pts * 1e-13, 2).output / 1e-13, y_unit, rtol=1e-9, atol=0)
 
 
 def test_candidate_balls_cap_counts_support_sets():
