@@ -29,6 +29,7 @@ from .geometry import (
     _full_rank,
     _index_chunks,
     _one_center,
+    _row_norms,
     _spread_exp,
     meb,
 )
@@ -128,11 +129,19 @@ class CandidateBalls:
         otherwise.
         """
         (C, R), zero = self._arrays, self._zero
-        dist = np.linalg.norm(C - as_vector(y, C.shape[1]), axis=1)
+        dist = _row_norms(C - as_vector(y, C.shape[1]))
         if not zero.any():
             return dist / R
         miss = dist > 1e-9 * (1.0 + float(np.abs(C).max()))
         return np.where(zero, np.where(miss, math.inf, 0.0), dist / np.where(zero, 1.0, R))
+
+
+def _distance_matrix(pts: np.ndarray) -> np.ndarray:
+    """Pairwise distances in a power-of-two unit of the points' extent: a
+    unit that rounds nothing keeps every comparison between them exact at
+    any scale, where raw squares would overflow and tie at inf."""
+    pts = np.ldexp(pts, -_spread_exp(np.ptp(pts, axis=0)))
+    return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
 
 
 def _check_fault_budget(n: int, t: int) -> None:
@@ -298,7 +307,7 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
         raise TooManySubsetsError(
             f"C({n},{m}) = {count} subsets exceeds the cap of {max_subsets}"
         )
-    dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    dmat = _distance_matrix(pts)
     # the lex-first subset stands until a strictly smaller diameter displaces
     # it; argmin keeps the first of a chunk's ties
     best, best_sub = math.inf, tuple(range(m))
@@ -330,7 +339,7 @@ def medoid(points, t: int = 0) -> AggregateResult:
     """Input point minimizing the total distance to all inputs; ties go to
     the lowest index."""
     pts = as_points(points)
-    dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    dmat = _distance_matrix(pts)
     sums = dmat.sum(axis=1)
     idx = int(np.argmin(sums))
     return AggregateResult(output=pts[idx], rule="medoid", chosen_index=idx)

@@ -27,6 +27,7 @@ from .scenarios import (
     tangent_unit_balls,
 )
 from .validity import (
+    Certificate,
     check_bias_bound,
     check_box,
     check_c_meb,
@@ -147,15 +148,15 @@ def certify(ctx, input_path, y_text, faults, c_bound, ignore_labels):
             factor, worst = worst_designation(ps, faults, y, balls=balls)
             certificates = []
             if c_bound is not None:
-                certificates.append(
-                    {
-                        "condition": f"c-meb(c={c_bound:g})",
-                        "achieved": factor,
-                        "bound": c_bound,
-                        "pass": factor <= c_bound + ctx.obj["tol"],
-                        "witness": list(worst) if worst else None,
-                    }
+                # built directly: the designation stays as witness on a pass too
+                c_meb = Certificate(
+                    condition=f"c-meb(c={c_bound:g})",
+                    achieved=factor,
+                    bound=c_bound,
+                    passed=factor <= c_bound + ctx.obj["tol"],
+                    witness=list(worst) if worst else None,
                 )
+                certificates.append(c_meb.to_dict())
             mode = "worst-case"
         elapsed = time.perf_counter() - start
     except MebaggError as exc:

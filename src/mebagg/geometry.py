@@ -114,6 +114,13 @@ def _spread_exp(x) -> int:
     return int(np.frexp(np.abs(x).max())[1])
 
 
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """Row norms of ``diff``, taken in the power-of-two unit of its spread
+    and scaled back, so the squares neither overflow nor underflow."""
+    e = _spread_exp(diff)
+    return np.ldexp(np.linalg.norm(np.ldexp(diff, -e), axis=1), e)
+
+
 def _full_rank(G: np.ndarray) -> np.ndarray:
     """Which Gram matrices in the batch G are nonsingular, by the Hadamard
     ratio det(G) / prod(G_ii): 1 for orthogonal rows, 0 for dependent ones."""
@@ -235,11 +242,8 @@ def meb(points) -> Ball:
     if uniq.shape[0] == 1:
         return Ball(uniq[0], 0.0)
     center, _ = _one_center(uniq, np.ones(uniq.shape[0]))
-    # pin containment with the realized radius; a power-of-two scale keeps squares in range
-    diff = pts - center
-    e = _spread_exp(diff)
-    radius = float(np.ldexp(np.linalg.norm(np.ldexp(diff, -e), axis=1).max(), e))
-    return Ball(center, radius)
+    # pin containment with the realized radius
+    return Ball(center, float(_row_norms(pts - center).max()))
 
 
 def diameter(points) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -70,6 +71,21 @@ def _certify(
     )
 
 
+# callers certify one honest set several times in a row; a few entries
+# cover that and bound the memory the keys hold
+@lru_cache(maxsize=4)
+def _cached_meb(shape: tuple[int, int], data: bytes) -> Ball:
+    return meb(np.frombuffer(data).reshape(shape))
+
+
+def _honest_ball(pts: np.ndarray) -> Ball:
+    """``meb`` of the honest points, memoised by value: the key is their
+    shape and bytes, so a caller that mutates its array gets a new ball.
+    The memo is bounded (``lru_cache``) and thread-safe, and the shared
+    ``Ball`` is read-only."""
+    return _cached_meb(pts.shape, pts.tobytes())
+
+
 def phi(y, ball: Ball) -> float:
     """Relative gap to a candidate ball: max(0, ||y-c|| - r)/r."""
     if ball.radius <= 0:
@@ -83,12 +99,13 @@ def check_c_meb(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificate:
 
     A zero-radius honest ball degenerates to exact-point semantics: the
     factor is 0 when y coincides with the center within ``tol`` scaled as
-    lengths are (``_length_tol``), and infinite otherwise.
+    lengths are (``_length_tol``), and infinite otherwise. The honest ball
+    comes from a bounded, thread-safe memo keyed by value (``_honest_ball``).
     """
     if c < 1:
         raise InvalidParamsError(f"relaxation factor c must be >= 1, got {c}")
     pts = as_points(honest)
-    ball = meb(pts)
+    ball = _honest_ball(pts)
     v = as_vector(y, ball.dim)
     dist = float(np.linalg.norm(v - ball.center))
     if ball.radius <= 0:
@@ -161,10 +178,13 @@ def check_relaxed_convex(y, honest, delta: float, *, tol: float = ABS_TOL) -> Ce
 
 
 def check_bias_bound(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificate:
-    """Deviation from the honest mean against the (c+1) * radius budget."""
+    """Deviation from the honest mean against the (c+1) * radius budget.
+
+    The honest ball comes from a bounded, thread-safe memo keyed by value
+    (``_honest_ball``)."""
     pts = as_points(honest)
     v = as_vector(y, pts.shape[1])
-    ball = meb(pts)
+    ball = _honest_ball(pts)
     achieved = float(np.linalg.norm(v - pts.mean(axis=0)))
     bound = (c + 1.0) * ball.radius
     return _certify(f"bias(c={c:g})", achieved, bound, tol, pts.mean(axis=0), points=pts)
@@ -248,13 +268,16 @@ def relation_check(
     relaxed-convex-implies-meb: points within delta of the hull lie within
         the (1 + 2*delta/diam) inflated ball; skipped if the honest set is a
         single location.
+
+    The honest ball comes from a bounded, thread-safe memo keyed by value
+    (``_honest_ball``), so the four relations on one honest set build it once.
     """
     if relation not in RELATIONS:
         raise InvalidParamsError(f"unknown relation {relation!r}; choose from {RELATIONS}")
     pts = as_points(honest)
     if rng is None:
         rng = np.random.default_rng(0)
-    ball = meb(pts)
+    ball = _honest_ball(pts)
     d = pts.shape[1]
 
     if relation == "convex-implies-meb":

@@ -136,6 +136,17 @@ def test_mda_budget_errors():
         mda(np.zeros((30, 1)), 15, max_subsets=1000)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-300])
+def test_mda_choice_is_scale_invariant(scale):
+    # raw squared differences overflow (or vanish) here and every diameter
+    # would tie; the unit-scale choice must stand
+    pts = np.array([(10.0, 10.0), (0.0, 0.0), (0.1, 0.0), (0.0, 0.1)])
+    assert mda(pts, 1).chosen_subset == (1, 2, 3)
+    result = mda(pts * scale, 1)
+    assert result.chosen_subset == (1, 2, 3)
+    assert np.array_equal(result.output, (pts * scale)[1:].mean(axis=0))
+
+
 # ---------------------------------------------------------------------------
 # medoid
 
@@ -148,6 +159,15 @@ def test_medoid_example_sums():
     result = medoid(pts)
     assert np.allclose(result.output, [1, 0])
     assert result.chosen_index == 1
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-300])
+def test_medoid_choice_is_scale_invariant(scale):
+    pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.2, 0.1), (50.0, 50.0)])
+    assert medoid(pts, 1).chosen_index == 3
+    result = medoid(pts * scale, 1)
+    assert result.chosen_index == 3
+    assert np.array_equal(result.output, pts[3] * scale)
 
 
 def test_medoid_singleton():
@@ -478,6 +498,18 @@ def test_ratios_zero_radius_rule():
     assert near[0] == 0.0 and math.isclose(near[1], (2.0 - 1e-7) / 4.0, rel_tol=1e-12)
     assert cb.ratios([1000.0 + 1e-5, 0.0])[0] == math.inf
     assert CandidateBalls.from_balls(cb) is cb
+
+
+def test_minmax_at_large_scale_matches_unit_scale():
+    # the ratios take their distances in a power-of-two unit, so the squares
+    # do not overflow to inf and pass for missed zero-radius balls
+    pts = np.random.default_rng(0).normal(size=(6, 2))
+    unit = minmax_meb(pts, 2)
+    big = minmax_meb(pts * 1e250, 2)
+    assert np.allclose(big.output / 1e250, unit.output, rtol=0, atol=1e-14)
+    assert big.achieved_value == unit.achieved_value
+    cb = candidate_balls(pts * 1e250, 2)
+    assert np.isfinite(cb.ratios(big.output)).all()
 
 
 def test_solve_minmax_tangent_balls_inner_value():

@@ -183,6 +183,27 @@ def test_certify_unlabeled_worst_case(runner, tmp_path):
     assert report["mode"] == "worst-case"
 
 
+def test_certify_ignore_labels_keeps_the_designation_on_a_pass(runner, tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("0,0,honest\n2,0,honest\n9,9,byz\n")
+    result = runner.invoke(
+        main, ["certify", str(path), "--y=1,0", "-t", "1", "--c", "3", "--ignore-labels"]
+    )
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["mode"] == "worst-case"
+    assert report["worst_designation"] == [1, 2]
+    assert report["certificates"] == [
+        {
+            "condition": "c-meb(c=3)",
+            "achieved": report["achieved_factor"],
+            "bound": 3.0,
+            "pass": True,
+            "witness": [1, 2],
+        }
+    ]
+
+
 def test_scenario_tangent_balls_verify(runner):
     result = runner.invoke(main, ["scenario", "tangent-balls", "--k", "2", "--verify"])
     assert result.exit_code == 0, result.output

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from mebagg import (
     Ball,
     CandidateBalls,
     InvalidParamsError,
+    PointSet,
     RELATIONS,
     ResilienceViolationError,
     ZeroRadiusError,
@@ -25,6 +28,8 @@ from mebagg import (
     tangent_unit_balls,
     theoretical_bound,
 )
+from mebagg import geometry, validity
+from mebagg.pointset import as_points
 from conftest import random_cloud
 
 # ---------------------------------------------------------------------------
@@ -287,3 +292,79 @@ def test_relation_sampling_sweeps(rng):
 def test_relation_unknown_name():
     with pytest.raises(InvalidParamsError):
         relation_check("nope", [(0.0, 0.0)])
+
+
+# ---------------------------------------------------------------------------
+# the honest-ball memo
+
+
+def _certify_all(honest, y, seed):
+    """Every certificate that reads the honest ball, as plain values."""
+    out = [
+        check_c_meb(y, honest, 1.5).to_dict(),
+        check_bias_bound(y, honest, 1.5).to_dict(),
+    ]
+    rng = np.random.default_rng(seed)
+    for relation in RELATIONS:
+        r = relation_check(relation, honest, rng=rng)
+        out.append((r.relation, r.point.tolist(), r.achieved, r.bound, r.passed, r.detail))
+    return out
+
+
+def _memo_cases(rng):
+    base = random_cloud(rng, 12, 3)
+    cases = [
+        PointSet(random_cloud(rng, 5, 2)),  # read-only points
+        base[::2, ::-1],  # non-contiguous view
+        np.repeat([[1.5, -2.0]], 4, axis=0),  # a single location
+    ]
+    for _ in range(20):
+        cases.append(random_cloud(rng, int(rng.integers(1, 9)), int(rng.integers(1, 5))))
+    return cases
+
+
+def test_geometry_meb_stays_uncached():
+    assert not hasattr(geometry.meb, "cache_info")
+
+
+def test_memo_sees_in_place_mutation():
+    honest = np.array([(0.0, 0.0), (2.0, 0.0)])
+    y = (1.0, 2.5)
+    first = check_c_meb(y, honest, 1.0)
+    assert math.isclose(first.achieved, 2.5, rel_tol=1e-12)
+    honest[1] = (4.0, 0.0)  # ball: center (2, 0), radius 2
+    second = check_c_meb(y, honest, 1.0)
+    assert math.isclose(second.achieved, math.hypot(1.0, 2.5) / 2.0, rel_tol=1e-12)
+    assert np.array_equal(second.witness, [2.0, 0.0])
+
+
+def test_memo_matches_uncached_meb(rng, monkeypatch):
+    cases = _memo_cases(rng)
+    ys = [rng.normal(size=as_points(h).shape[1]) for h in cases]
+    # per set, check_c_meb misses the memo and the five calls after it hit
+    validity._cached_meb.cache_clear()
+    memoised = [_certify_all(h, y, k) for k, (h, y) in enumerate(zip(cases, ys))]
+    monkeypatch.setattr(validity, "_honest_ball", geometry.meb)
+    uncached = [_certify_all(h, y, k) for k, (h, y) in enumerate(zip(cases, ys))]
+    assert memoised == uncached
+
+
+def test_memo_is_thread_safe(rng):
+    sets = [random_cloud(rng, int(rng.integers(2, 9)), 3) for _ in range(24)]
+    ys = [rng.normal(size=3) for _ in sets]
+    jobs = [(k % 4, h, y) for k, (h, y) in enumerate(zip(sets, ys))]
+
+    def run(worker):
+        return [_certify_all(h, y, k) for k, (w, h, y) in enumerate(jobs) if w == worker]
+
+    validity._cached_meb.cache_clear()
+    serial = [run(w) for w in range(4)]
+    validity._cached_meb.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the memo too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(run, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
