@@ -28,6 +28,7 @@ from .geometry import (
     Ball,
     _full_rank,
     _index_chunks,
+    _length_tol,
     _one_center,
     _row_norms,
     _spread_exp,
@@ -125,22 +126,23 @@ class CandidateBalls:
         """||y - c|| / r for every ball: at most 1 inside, above 1 outside.
 
         A zero-radius ball (``_zero``) scores 0 when y lies within
-        1e-9 * (1 + largest center coordinate) of its center, and infinity
-        otherwise.
+        ``geometry._length_tol(1e-9, centers)`` of its center, and infinity
+        otherwise, so the verdict holds at any offset and scale.
         """
         (C, R), zero = self._arrays, self._zero
         dist = _row_norms(C - as_vector(y, C.shape[1]))
         if not zero.any():
             return dist / R
-        miss = dist > 1e-9 * (1.0 + float(np.abs(C).max()))
+        miss = dist > _length_tol(1e-9, C)
         return np.where(zero, np.where(miss, math.inf, 0.0), dist / np.where(zero, 1.0, R))
 
 
 def _distance_matrix(pts: np.ndarray) -> np.ndarray:
     """Pairwise distances in a power-of-two unit of the points' extent: a
     unit that rounds nothing keeps every comparison between them exact at
-    any scale, where raw squares would overflow and tie at inf."""
-    pts = np.ldexp(pts, -_spread_exp(np.ptp(pts, axis=0)))
+    any scale, where raw squares would overflow and tie at inf; the extent
+    is taken on the halved points, so it stays finite at any range."""
+    pts = np.ldexp(pts, -_spread_exp(np.ptp(pts / 2, axis=0)) - 1)
     return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
 
 
@@ -360,11 +362,12 @@ def geometric_median(
     n, d = pts.shape
     if n == 1:
         return AggregateResult(output=pts[0], rule="geomedian")
-    scale = 1.0 + float(np.abs(pts).max())
+    # length tolerances of the extent, once per call: on a data point, near one, settled
+    here_tol, near_tol, step_tol = _length_tol(np.array([1e-12, 1e-5, tol]), pts)
 
     centered = pts - pts.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
-    if svals[0] <= 1e-14 * scale:
+    if svals[0] <= here_tol:
         return AggregateResult(output=pts[0], rule="geomedian")
     if d == 1 or svals[1] <= 1e-12 * svals[0]:
         # collinear: 1-D median, midpoint of the two central order statistics
@@ -378,7 +381,7 @@ def geometric_median(
         """Subgradient test at a data point; None when the point is optimal,
         otherwise one descent step off it (Vardi-Zhang)."""
         dist = np.linalg.norm(pts - vertex, axis=1)
-        here = dist <= 1e-12 * scale
+        here = dist <= here_tol
         mult = int(here.sum())
         rest = ~here
         resid = ((vertex - pts[rest]) / dist[rest, None]).sum(axis=0)
@@ -395,7 +398,7 @@ def geometric_median(
     for _ in range(max_iter):
         dist = np.linalg.norm(pts - y, axis=1)
         nearest = int(np.argmin(dist))
-        if dist[nearest] <= 1e-12 * scale:
+        if dist[nearest] <= here_tol:
             stepped = vertex_step(pts[nearest])
             if stepped is None:
                 return AggregateResult(output=pts[nearest], rule="geomedian")
@@ -403,10 +406,10 @@ def geometric_median(
         else:
             w = 1.0 / dist
             y_new = (pts * w[:, None]).sum(axis=0) / w.sum()
-        if np.linalg.norm(y_new - y) <= tol * scale:
+        if np.linalg.norm(y_new - y) <= step_tol:
             # settled; if hugging a data point, resolve the vertex exactly,
             # once: stepping off it again would retrace the same path
-            if dist[nearest] <= 1e-5 * scale and nearest not in resolved:
+            if dist[nearest] <= near_tol and nearest not in resolved:
                 resolved.add(nearest)
                 stepped = vertex_step(pts[nearest])
                 if stepped is None:

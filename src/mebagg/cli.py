@@ -64,7 +64,7 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 @click.group()
-@click.option("--tol", type=float, default=1e-9, show_default=True, help="Numeric tolerance for pass/fail checks.")
+@click.option("--tol", type=float, default=1e-9, show_default=True, help="Numeric tolerance for pass/fail checks: length checks (convex, box, bias, c-meb on a single honest location) scale it by the honest points' extent; factor checks take it as is.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for randomized commands.")
 @click.option("--max-subsets", type=int, default=2_000_000, show_default=True, help="Cap on the support sets or subsets enumerated for candidate balls (they fail only when both exceed it) and on the C(n, n-t) subsets of mda, counted before it prunes those that cannot beat an attained diameter.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")

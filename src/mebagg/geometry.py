@@ -114,6 +114,19 @@ def _spread_exp(x) -> int:
     return int(np.frexp(np.abs(x).max())[1])
 
 
+_ROUNDING_FLOOR = 2.0**-49  # 8 eps: points this close, relative to max|x|, count as one
+
+
+def _length_tol(tol, pts: np.ndarray):
+    """``tol`` times the points' extent, their largest coordinate range
+    (taken on the halved points so it cannot overflow), plus a rounding
+    floor of ``_ROUNDING_FLOOR`` max|x|: a tolerance for lengths among the
+    points that does not change when they are translated or scaled. An
+    array of tols gives the array of tolerances."""
+    lo, hi = (pts / 2).min(axis=0), (pts / 2).max(axis=0)
+    return 2.0 * (tol * float((hi - lo).max()) + _ROUNDING_FLOOR * float(np.maximum(hi, -lo).max()))
+
+
 def _row_norms(diff: np.ndarray) -> np.ndarray:
     """Row norms of ``diff``, taken in the power-of-two unit of its spread
     and scaled back, so the squares neither overflow nor underflow."""

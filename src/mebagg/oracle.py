@@ -14,7 +14,7 @@ import numpy as np
 
 from .aggregate import CandidateBalls, candidate_balls
 from .errors import InstanceTooLargeError, InvalidFaultBudgetError, MebaggError
-from .geometry import Ball, circumball, meb
+from .geometry import Ball, _length_tol, circumball, meb
 from .pointset import as_points
 
 BRUTEFORCE_MAX_N = 12
@@ -37,18 +37,18 @@ def meb_bruteforce(points) -> Ball:
             f"brute-force ball search capped at n<={BRUTEFORCE_MAX_N}, "
             f"d<={BRUTEFORCE_MAX_D}; got n={n}, d={d}"
         )
-    scale = 1.0 + float(np.abs(pts).max())
+    rank_tol, cover_tol = _length_tol(1e-10, pts), _length_tol(1e-12, pts)
     best: Ball | None = None
     for k in range(1, min(n, d + 1) + 1):
         for sub in itertools.combinations(range(n), k):
             sup = pts[list(sub)]
             if k >= 3:
                 # skip affinely dependent supports; a smaller support covers them
-                if np.linalg.matrix_rank(sup[1:] - sup[0], tol=1e-10 * scale) < k - 1:
+                if np.linalg.matrix_rank(sup[1:] - sup[0], tol=rank_tol) < k - 1:
                     continue
             ball = circumball(sup)
             dists = np.linalg.norm(pts - ball.center, axis=1)
-            if np.all(dists <= ball.radius * (1 + 1e-10) + 1e-12 * scale):
+            if np.all(dists <= ball.radius * (1 + 1e-10) + cover_tol):
                 realized = float(dists.max())
                 if best is None or realized < best.radius:
                     best = Ball(ball.center, realized)

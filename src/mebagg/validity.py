@@ -19,7 +19,9 @@ from .errors import (
     ResilienceViolationError,
     ZeroRadiusError,
 )
-from .geometry import Ball, diameter, dist_to_ball, dist_to_hull, meb, sample_in_ball, trusted_box
+from .geometry import (
+    Ball, _length_tol, diameter, dist_to_ball, dist_to_hull, meb, sample_in_ball, trusted_box
+)
 from .pointset import as_points, as_vector
 
 ABS_TOL = 1e-9
@@ -48,17 +50,11 @@ class Certificate:
         }
 
 
-def _length_tol(tol: float, pts: np.ndarray) -> float:
-    """``tol`` for lengths among the points: scaled by 1 + their largest
-    coordinate, so a verdict does not hang on where the origin is."""
-    return tol * (1.0 + float(np.abs(pts).max()))
-
-
 def _certify(
     condition: str, achieved: float, bound: float, tol: float, witness, *, points=None
 ) -> Certificate:
     """Pass iff achieved <= bound + tol. Given ``points``, achieved and
-    bound are lengths among them and tol scales with them (``_length_tol``)."""
+    bound are lengths among them and tol scales with their extent (``_length_tol``)."""
     if points is not None:
         tol = _length_tol(tol, points)
     passed = achieved <= bound + tol
@@ -97,10 +93,11 @@ def phi(y, ball: Ball) -> float:
 def check_c_meb(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificate:
     """Is y within c times the honest enclosing-ball radius of its center?
 
-    A zero-radius honest ball degenerates to exact-point semantics: the
-    factor is 0 when y coincides with the center within ``tol`` scaled as
-    lengths are (``_length_tol``), and infinite otherwise. The honest ball
-    comes from a bounded, thread-safe memo keyed by value (``_honest_ball``).
+    The factor is compared with c at ``tol`` as is. A zero-radius honest
+    ball degenerates to exact-point semantics: the factor is 0 when y is
+    within rounding of the center (``geometry._length_tol``), and infinite
+    otherwise. The honest ball comes from a bounded, thread-safe memo keyed
+    by value (``_honest_ball``).
     """
     if c < 1:
         raise InvalidParamsError(f"relaxation factor c must be >= 1, got {c}")
@@ -139,8 +136,8 @@ def check_convex(y, honest, *, tol: float = ABS_TOL) -> Certificate:
     """Is y inside the convex hull of the honest points?
 
     The distance is exact (``dist_to_hull``), so ``tol`` only absorbs
-    rounding; it scales as lengths do (``_length_tol``). The witness is the
-    nearest hull point.
+    rounding; it scales with the honest extent (``geometry._length_tol``),
+    so the verdict holds at any offset. The witness is the nearest hull point.
     """
     pts = as_points(honest)
     v = as_vector(y, pts.shape[1])
@@ -265,11 +262,12 @@ def relation_check(
     box-implies-sqrtd-meb: box points lie within sqrt(d) radii of the center.
     cmeb-implies-relaxed-convex: points within c radii of the center are
         within (c+1) radii of every honest point.
-    relaxed-convex-implies-meb: points within delta of the hull lie within
-        the (1 + 2*delta/diam) inflated ball; skipped if the honest set is a
-        single location.
+    relaxed-convex-implies-meb: points within delta (default diam/2) of
+        the hull lie within the (1 + 2*delta/diam) inflated ball; skipped if
+        the honest set is a single location.
 
-    The honest ball comes from a bounded, thread-safe memo keyed by value
+    ``tol`` scales with the honest extent (``geometry._length_tol``). The
+    honest ball comes from a bounded, thread-safe memo keyed by value
     (``_honest_ball``), so the four relations on one honest set build it once.
     """
     if relation not in RELATIONS:
@@ -279,6 +277,7 @@ def relation_check(
         rng = np.random.default_rng(0)
     ball = _honest_ball(pts)
     d = pts.shape[1]
+    tol = _length_tol(tol, pts)
 
     if relation == "convex-implies-meb":
         v = _sample_hull_point(rng, pts) if y is None else as_vector(y, d)
@@ -305,10 +304,10 @@ def relation_check(
 
     # relaxed-convex-implies-meb
     diam = diameter(pts)
-    if delta is None:
-        delta = 0.5 * max(diam, 1.0)
     if diam <= 0:
         return RelationReport(relation, ball.center, 0.0, 0.0, True, {"skipped": "diam=0"})
+    if delta is None:
+        delta = 0.5 * diam
     if y is None:
         base = _sample_hull_point(rng, pts)
         v = base + sample_in_ball(rng, d, delta)

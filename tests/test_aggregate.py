@@ -17,6 +17,7 @@ from mebagg import (
     candidate_balls_bruteforce,
     coordwise_median,
     dist_to_hull,
+    exhaustive_factor,
     geometric_median,
     lower_bound_construction,
     mda,
@@ -75,9 +76,8 @@ def test_mda_chunks_match_bruteforce(monkeypatch):
                               default=0.0),
         )
         assert mda(pts, t).chosen_subset == expected
-    # every diameter overflows to inf: the lex-first subset still wins
-    with np.errstate(over="ignore"):
-        assert mda([(-1e308,), (1e308,), (0.0,)], 0).chosen_subset == (0, 1, 2)
+    # an extent past the float range: the diameters stay finite
+    assert mda([(-1e308,), (1e308,), (0.0,)], 0).chosen_subset == (0, 1, 2)
 
 
 def _mda_bruteforce(pts, t):
@@ -145,6 +145,14 @@ def test_mda_choice_is_scale_invariant(scale):
     result = mda(pts * scale, 1)
     assert result.chosen_subset == (1, 2, 3)
     assert np.array_equal(result.output, (pts * scale)[1:].mean(axis=0))
+
+
+def test_mda_and_medoid_hold_when_the_extent_passes_the_float_range():
+    # the extent, 2e308, overflows unless it is taken on the halved points
+    pts = np.array([(-1e308, 0.0), (1e308, 0.0), (0.5e308, 0.0), (0.6e308, 1.0)])
+    unit = pts / 1e308
+    assert medoid(pts).chosen_index == medoid(unit).chosen_index == 2
+    assert mda(pts, 2).chosen_subset == mda(unit, 2).chosen_subset == (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +501,18 @@ def test_minmax_zero_radius_candidate_is_returned():
 
 def test_ratios_zero_radius_rule():
     cb = CandidateBalls.from_balls([Ball([1000.0, 0.0], 0.0), Ball([1002.0, 0.0], 4.0)])
-    # the miss tolerance is 1e-9 * (1 + 1002) about the zero-radius center
-    near = cb.ratios([1000.0 + 1e-7, 0.0])
-    assert near[0] == 0.0 and math.isclose(near[1], (2.0 - 1e-7) / 4.0, rel_tol=1e-12)
+    # the miss tolerance is 1e-9 of the centers' extent, 2, plus a rounding
+    # floor about the zero-radius center; the coordinate 1000 does not widen it
+    near = cb.ratios([np.nextafter(1000.0, 2000.0), 0.0])
+    assert near[0] == 0.0 and math.isclose(near[1], 0.5, rel_tol=1e-12)
+    assert cb.ratios([1000.0 + 1e-7, 0.0])[0] == math.inf
     assert cb.ratios([1000.0 + 1e-5, 0.0])[0] == math.inf
     assert CandidateBalls.from_balls(cb) is cb
+    # y one spread away from three coincident points misses their ball at any scale
+    pts = np.array([(0.0, 0.0)] * 3 + [(1.0, 0.0), (0.0, 2.0)])
+    for scale in (1.0, 1e-13):
+        y = np.array([1.0, 0.0]) * scale
+        assert exhaustive_factor(pts * scale, 2, y=y) == math.inf
 
 
 def test_minmax_at_large_scale_matches_unit_scale():
@@ -620,6 +635,11 @@ def test_rule_isometry_and_scale_equivariance(rule, rng):
     assert np.allclose(moved, rot @ base + shift, atol=1e-5)
     scaled = run_rule(rule, 2.5 * pts, t).output
     assert np.allclose(scaled, 2.5 * base, atol=1e-5)
+    # a tiny scale and a far offset, compared in the unit frame
+    tiny = run_rule(rule, 1e-6 * pts, t).output
+    assert np.allclose(tiny / 1e-6, base, atol=1e-5)
+    far = run_rule(rule, pts + 1e6, t).output
+    assert np.allclose(far - 1e6, base, atol=1e-5)
 
 
 @pytest.mark.parametrize("rule", ALL_RULES)

@@ -157,11 +157,13 @@ def test_certify_center_passes(runner, tmp_path):
 def test_certify_labeled_coincident_honest_points(runner, tmp_path):
     # a zero-radius honest ball: the reported factor is the c-meb
     # certificate's; it and the box and bias certificates all compare
-    # lengths at a tolerance that scales with the coordinates
+    # lengths at a tolerance of the honest extent, 0 here, plus a rounding
+    # floor, so y one rounding off the location passes and y 1e-8 off misses
     path = tmp_path / "p.csv"
     path.write_text("1000,1000,honest\n" * 3 + "5000,5000,byz\n")
+    assert float("1000.0000000000001") == np.nextafter(1000.0, 2000.0)
     result = runner.invoke(
-        main, ["certify", str(path), "--y=1000.00000001,1000", "--c=1.5", "-t", "1"]
+        main, ["certify", str(path), "--y=1000.0000000000001,1000", "--c=1.5", "-t", "1"]
     )
     assert result.exit_code == 0, result.output
     report = json.loads(result.output)
@@ -171,6 +173,15 @@ def test_certify_labeled_coincident_honest_points(runner, tmp_path):
     assert report["achieved_factor"] == c_meb["achieved"] == 0.0
     assert certs["box"]["pass"]
     assert certs["bias(c=1.5)"]["pass"]
+
+    result = runner.invoke(
+        main, ["certify", str(path), "--y=1000.00000001,1000", "--c=1.5", "-t", "1"]
+    )
+    assert result.exit_code == 2, result.output
+    report = json.loads(result.output)
+    certs = {c["condition"]: c for c in report["certificates"]}
+    assert report["achieved_factor"] == certs["c-meb(c=1.5)"]["achieved"] == math.inf
+    assert not any(certs[k]["pass"] for k in ("c-meb(c=1.5)", "box", "bias(c=1.5)"))
 
 
 def test_certify_unlabeled_worst_case(runner, tmp_path):

@@ -19,6 +19,7 @@ from mebagg import (
     check_c_meb,
     check_convex,
     check_relaxed_convex,
+    geometric_median,
     meb,
     medoid_counterexample,
     phi,
@@ -219,6 +220,54 @@ def test_bias_bound_follows_c_meb(rng):
         y = ball.center + rng.normal(size=honest.shape[1]) * ball.radius
         if check_c_meb(y, honest, c).passed:
             assert check_bias_bound(y, honest, c).passed
+
+
+# ---------------------------------------------------------------------------
+# verdicts at any offset and spread
+
+_OFFSET_SPREAD = [
+    (offset, spread)
+    for offset in (0.0, 1.0, 1e3, 1e6, 1e9)
+    for spread in (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6)
+    if offset <= 1e6 * spread
+]
+
+
+@pytest.mark.parametrize("offset, spread", _OFFSET_SPREAD)
+def test_verdicts_do_not_hang_on_offset_or_spread(offset, spread):
+    def place(unit_pts):
+        return offset + spread * np.asarray(unit_pts)
+
+    # a right triangle: its enclosing ball has the hypotenuse as diameter
+    honest = place([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    inside, outside = place((0.5, 1e-6)), place((0.5, -1e-6))
+    assert check_convex(inside, honest).passed
+    assert not check_convex(outside, honest).passed
+    assert check_box(inside, honest).passed
+    assert not check_box(outside, honest).passed
+
+    # y = (1/4, 1/4) is farthest from the two acute vertices
+    far = spread * math.hypot(0.75, 0.25)
+    y = place((0.25, 0.25))
+    assert check_relaxed_convex(y, honest, far * (1 + 1e-6)).passed
+    assert not check_relaxed_convex(y, honest, far * (1 - 1e-6)).passed
+
+    # the (c+1) * radius budget about the mean (1/3, 1/3), radius sqrt(2)/2
+    budget = 2.5 * math.sqrt(0.5)
+    for stretch, ok in ((1 - 1e-6, True), (1 + 1e-6, False)):
+        y = place((1 / 3 + budget * stretch, 1 / 3))
+        assert check_bias_bound(y, honest, 1.5).passed is ok
+
+    # a single location: only y on it, within rounding, passes
+    single = place([(0.3, 0.7)] * 3)
+    assert check_c_meb(single[0], single, 1.5).passed
+    assert check_c_meb(np.nextafter(single[0], np.inf), single, 1.5).passed
+    assert not check_c_meb(place((0.3 + 1e-6, 0.7)), single, 1.5).passed
+
+    cloud = np.random.default_rng(0).normal(size=(7, 3))
+    unit = geometric_median(cloud).output
+    moved = geometric_median(place(cloud)).output
+    assert np.allclose((moved - offset) / spread, unit, rtol=0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
