@@ -32,6 +32,7 @@ from .geometry import (
     _one_center,
     _row_norms,
     _spread_exp,
+    _unique_rows,
     meb,
 )
 from .pointset import as_points, as_vector
@@ -262,7 +263,7 @@ def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> Candid
         C, R, W = _support_balls(P, m)
     # one ball per key; the first in witness order has the smallest witness
     order = np.lexsort(W.T[::-1])
-    _, first = np.unique(_ball_keys(C[order], R[order]), axis=0, return_index=True)
+    _, first = _unique_rows(_ball_keys(C[order], R[order]))
     keep = order[np.sort(first)]
     C, W = C[keep], W[keep]
     realized = np.linalg.norm(P[W] - C[:, None, :], axis=2).max(axis=1)
@@ -333,7 +334,11 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
             idx = int(np.argmin(diams))
             if diams[idx] < best:
                 best, best_sub = diams[idx], tuple(int(i) for i in subs[idx])
-    out = pts[list(best_sub)].mean(axis=0)
+    # average in each coordinate's power-of-two unit, which rounds nothing,
+    # so the sum cannot overflow where the mean is representable
+    chosen = pts[list(best_sub)]
+    e = np.frexp(np.abs(chosen).max(axis=0))[1]
+    out = np.ldexp(np.ldexp(chosen, -e).mean(axis=0), e)
     return AggregateResult(output=out, rule="mda", chosen_subset=best_sub)
 
 
@@ -447,7 +452,7 @@ def solve_minmax(balls) -> tuple[np.ndarray, float]:
         y = C[zero][0]
         return y, float(cb.ratios(y).max()) - 1.0
     # overlapping subsets often share one MEB; collapse the duplicates
-    _, uniq_idx = np.unique(_ball_keys(*cb._unit), axis=0, return_index=True)
+    _, uniq_idx = _unique_rows(_ball_keys(*cb._unit))
     if uniq_idx.size < C.shape[0]:
         C = C[np.sort(uniq_idx)]
         R = R[np.sort(uniq_idx)]

@@ -134,6 +134,14 @@ def _row_norms(diff: np.ndarray) -> np.ndarray:
     return np.ldexp(np.linalg.norm(np.ldexp(diff, -e), axis=1), e)
 
 
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(a, axis=0, return_index=True)`` for a 2-D array, by one
+    stable lexsort and a compare of adjacent rows."""
+    order = np.lexsort(a.T[::-1])
+    order = order[np.append(True, (a[order[1:]] != a[order[:-1]]).any(axis=1))]
+    return a[order], order
+
+
 def _full_rank(G: np.ndarray) -> np.ndarray:
     """Which Gram matrices in the batch G are nonsingular, by the Hadamard
     ratio det(G) / prod(G_ii): 1 for orthogonal rows, 0 for dependent ones."""
@@ -141,61 +149,83 @@ def _full_rank(G: np.ndarray) -> np.ndarray:
     return np.linalg.det(G) > G.shape[-1] * np.finfo(float).eps * np.prod(diag, axis=-1)
 
 
+def _closed_form(CW: np.ndarray, RW: np.ndarray, subs: np.ndarray, slack: float):
+    """Solve each row S of ``subs`` in closed form. With c_0 the ball of S
+    of smallest radius, V the rows c_i - c_0, G = V V^T, b_i = |v_i|^2/2,
+    delta_i = (r_i^2 - r_0^2)/2 and q = rho^2, y = c_0 + V^T gamma with
+    G gamma = b - q delta has ratio rho at every ball of S: a line
+    y(q) = c_0 + a - q w, on which |y(q) - c_0|^2 = q r_0^2 fixes q; forming
+    the discriminant from the offset of c_0 from the line keeps the root
+    accurate when one radius is tiny. Returns S sorted by radius, y, rho,
+    ``ok`` (each ball of S has the top ratio, rho) and y's convex weights."""
+    rows = np.arange(len(subs))[:, None]
+    subs = subs[rows, np.argsort(RW[subs], axis=1)]
+    Cs, Rs = CW[subs], RW[subs]
+    V = Cs[:, 1:] - Cs[:, :1]
+    G = V @ V.transpose(0, 2, 1)
+    ok = _full_rank(G)
+    G[~ok] = np.eye(subs.shape[1] - 1)
+    r0sq = Rs[:, 0] ** 2
+    rhs = np.stack([np.einsum("sij,sij->si", V, V), Rs[:, 1:] ** 2 - r0sq[:, None]], axis=2)
+    beta = np.linalg.solve(G, 0.5 * rhs)
+    a = np.einsum("si,sid->sd", beta[..., 0], V)
+    w = np.einsum("si,sid->sd", beta[..., 1], V)
+    aa, aw, ww = (a * a).sum(axis=1), (a * w).sum(axis=1), (w * w).sum(axis=1)
+    a_perp = a - (aw / np.where(ww > 0, ww, 1.0))[:, None] * w
+    # |a - q w|^2 = q r_0^2  <=>  ww q^2 - lin q + aa = 0
+    lin = 2.0 * aw + r0sq
+    disc = r0sq * r0sq + 4.0 * r0sq * aw - 4.0 * ww * (a_perp * a_perp).sum(axis=1)
+    ok &= lin > 0
+    q = 2.0 * aa / np.where(ok, lin + np.sqrt(np.maximum(disc, 0.0)), np.inf)
+    y = Cs[:, 0] + a - q[:, None] * w
+    ratios = np.linalg.norm(CW[None, :, :] - y[:, None, :], axis=2) / RW
+    rho = ratios.max(axis=1)
+    ok &= ratios[rows, subs].min(axis=1) >= rho * (1.0 - slack)
+    gamma = beta[..., 0] - q[:, None] * beta[..., 1]
+    return subs, y, rho, ok, np.column_stack([1.0 - gamma.sum(axis=1), gamma])
+
+
+def _pivot(CW: np.ndarray, RW: np.ndarray, slack: float):
+    """Pivot all the balls as one basis, dropping the ball of least convex
+    weight but the violator (the last): (y, rho, S) once certified, else None."""
+    sub = np.arange(len(RW))[None]
+    while True:
+        sub, y, rho, ok, lam = _closed_form(CW, RW, sub, slack)
+        if not ok[0]:
+            return None
+        if lam.min() >= -1e-10:
+            return y[0], float(rho[0]), sub[0]
+        lam[sub == len(RW) - 1] = np.inf
+        sub = np.delete(sub, np.argmin(lam), axis=1)
+
+
 def _best_basis(C: np.ndarray, R: np.ndarray, work: list[int]):
     """Exact optimum of max ||y - c_i||/r_i over the balls in ``work``,
     whose last ball violates the optimum of the others.
 
-    A subset S of at most d+1 balls is solved in closed form. With c_0 the
-    ball of S of smallest radius, V the rows c_i - c_0, G = V V^T,
-    b_i = |v_i|^2/2, delta_i = (r_i^2 - r_0^2)/2 and q = rho^2, the point
-    y = c_0 + V^T gamma with G gamma = b - q delta has ratio rho at every
-    ball of S. That is a line y(q) = c_0 + a - q w, and |y(q) - c_0|^2 =
-    q r_0^2 fixes q; forming the discriminant from the offset of c_0 from
-    the line keeps the root accurate when one radius is tiny.
-
-    The problem is LP-type, so the violator is in every basis of ``work``
-    (Gaertner, ESA 1999). Only subsets holding it are solved, level by
-    level by how many other balls they drop, largest first. S is certified
-    when its balls are tight at y (rho is the largest ratio over ``work``)
-    and y is in conv(S): gamma >= 0, sum(gamma) <= 1. That is the KKT
-    condition, so the first certified S is optimal and ends the search.
-    Should rounding certify none, the tight S of smallest rho is returned
-    as (y, rho, S); None when no S is tight.
+    S of at most d+1 balls is certified when its balls are tight at the
+    ``_closed_form`` point y and y is in conv(S): the KKT condition, so a
+    certified S is optimal. The problem is LP-type, so the violator is in
+    every basis of ``work`` (Gaertner, ESA 1999). A working set of at most
+    d+1 balls is pivoted first (``_pivot``, at most d+1 solves). If that
+    ends uncertified, or ``work`` holds d+2 balls, a level search solves the
+    subsets holding the violator, largest first, up to the first certified
+    S. Should rounding certify none, the tight S of smallest rho is
+    returned as (y, rho, S); None when no S is tight.
     """
     CW, RW = C[work], R[work]
     m, d = CW.shape
     # a ratio is accurate to about eps * |y - c|/r, which a tiny ball inflates
     slack = 1e-10 + 1e-12 * RW.max() / RW.min()
+    if m <= d + 1 and (best := _pivot(CW, RW, slack)) is not None:
+        return best[0], best[1], [work[j] for j in best[2]]
     rows = max(1, _CHUNK_ELEMS // (m * d))
     best = None
     for k in range(min(m, d + 1), 0, -1):
         for others in _index_chunks(m - 1, k - 1, rows):
             subs = np.column_stack([others, np.full(len(others), m - 1)])
-            subs = np.take_along_axis(subs, np.argsort(RW[subs], axis=1), axis=1)
-            Cs, Rs = CW[subs], RW[subs]
-            V = Cs[:, 1:] - Cs[:, :1]
-            G = V @ V.transpose(0, 2, 1)
-            ok = _full_rank(G)
-            G[~ok] = np.eye(k - 1)
-            r0sq = Rs[:, 0] ** 2
-            b = 0.5 * np.einsum("sij,sij->si", V, V)
-            delta = 0.5 * (Rs[:, 1:] ** 2 - r0sq[:, None])
-            beta = np.linalg.solve(G, np.stack([b, delta], axis=2))
-            a = np.einsum("si,sid->sd", beta[..., 0], V)
-            w = np.einsum("si,sid->sd", beta[..., 1], V)
-            aa, aw, ww = (a * a).sum(axis=1), (a * w).sum(axis=1), (w * w).sum(axis=1)
-            a_perp = a - (aw / np.where(ww > 0, ww, 1.0))[:, None] * w
-            # |a - q w|^2 = q r_0^2  <=>  ww q^2 - lin q + aa = 0
-            lin = 2.0 * aw + r0sq
-            disc = r0sq * r0sq + 4.0 * r0sq * aw - 4.0 * ww * (a_perp * a_perp).sum(axis=1)
-            ok &= lin > 0
-            q = 2.0 * aa / np.where(ok, lin + np.sqrt(np.maximum(disc, 0.0)), np.inf)
-            y = Cs[:, 0] + a - q[:, None] * w
-            ratios = np.linalg.norm(CW[None, :, :] - y[:, None, :], axis=2) / RW
-            rho = ratios.max(axis=1)
-            ok &= np.take_along_axis(ratios, subs, axis=1).min(axis=1) >= rho * (1.0 - slack)
-            gamma = beta[..., 0] - q[:, None] * beta[..., 1]
-            certified = ok & (gamma >= -1e-10).all(axis=1) & (gamma.sum(axis=1) <= 1.0 + 1e-10)
+            subs, y, rho, ok, lam = _closed_form(CW, RW, subs, slack)
+            certified = ok & (lam >= -1e-10).all(axis=1)
             i = int(np.argmin(np.where(certified if certified.any() else ok, rho, np.inf)))
             if ok[i] and (certified[i] or best is None or rho[i] < best[1]):
                 best = (y[i], float(rho[i]), [work[j] for j in subs[i]])
@@ -244,14 +274,15 @@ def _one_center(C: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:
 def meb(points) -> Ball:
     """Minimum enclosing ball of a point set, exact in every dimension.
 
-    Exactly duplicated points are merged first; the result is independent of
-    input order. The center comes from ``_one_center`` with every radius 1,
+    Exactly duplicated points are merged first, by one sort of the rows
+    (``_unique_rows``), so the result does not depend on input order, bit
+    for bit. The center comes from ``_one_center`` with every radius 1,
     the same active-set kernel that ``aggregate.solve_minmax`` runs. The
     reported radius is the realized covering radius, so containment holds
     with no slack.
     """
     pts = as_points(points)
-    uniq = np.unique(pts, axis=0)
+    uniq, _ = _unique_rows(pts)
     if uniq.shape[0] == 1:
         return Ball(uniq[0], 0.0)
     center, _ = _one_center(uniq, np.ones(uniq.shape[0]))
@@ -260,18 +291,12 @@ def meb(points) -> Ball:
 
 
 def diameter(points) -> float:
-    """Largest pairwise Euclidean distance; 0 for a singleton."""
+    """Largest pairwise Euclidean distance, by ``_row_norms``; 0 for a singleton."""
     pts = as_points(points)
-    n = pts.shape[0]
-    if n == 1:
-        return 0.0
-    best = 0.0
-    chunk = max(1, 2_000_000 // max(n, 1))
-    for i in range(0, n, chunk):
-        block = pts[i : i + chunk]
-        d = np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=2)
-        best = max(best, float(d.max()))
-    return best
+    n, d = pts.shape
+    chunk = max(1, 1_000_000 // n)  # _row_norms holds three block-sized arrays
+    blocks = (pts[i : i + chunk, None, :] - pts[None, :, :] for i in range(0, n, chunk))
+    return max(float(_row_norms(diff.reshape(-1, d)).max()) for diff in blocks)
 
 
 def dist_to_ball(y, ball: Ball) -> float:

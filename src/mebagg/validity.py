@@ -20,7 +20,8 @@ from .errors import (
     ZeroRadiusError,
 )
 from .geometry import (
-    Ball, _length_tol, diameter, dist_to_ball, dist_to_hull, meb, sample_in_ball, trusted_box
+    Ball, _length_tol, _row_norms, diameter, dist_to_ball, dist_to_hull, meb, sample_in_ball,
+    trusted_box,
 )
 from .pointset import as_points, as_vector
 
@@ -313,7 +314,7 @@ def relation_check(
         v = base + sample_in_ball(rng, d, delta)
     else:
         v = as_vector(y, d)
-    dist = float(np.linalg.norm(v - ball.center))
+    dist = float(_row_norms((v - ball.center)[None])[0])
     bound = (1.0 + 2.0 * delta / diam) * ball.radius
     return RelationReport(
         relation, v, dist, bound, dist <= bound + tol, {"delta": delta, "diam": diam}

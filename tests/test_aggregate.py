@@ -147,6 +147,19 @@ def test_mda_choice_is_scale_invariant(scale):
     assert np.array_equal(result.output, (pts * scale)[1:].mean(axis=0))
 
 
+def test_mda_mean_holds_when_the_sum_passes_the_float_range():
+    # the chosen points sum past the float range, but their mean does not
+    result = mda([(-1e308, 0.0), (1e308, 0.0), (0.5e308, 0.0), (0.6e308, 1.0)], 1)
+    assert result.chosen_subset == (1, 2, 3)
+    assert np.allclose(result.output, [0.7e308, 1.0 / 3.0], rtol=1e-15, atol=0.0)
+    # at unit scale the output is the plain mean, bit for bit
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        pts = rng.normal(size=(int(rng.integers(3, 9)), 3))
+        result = mda(pts, 1)
+        assert np.array_equal(result.output, pts[list(result.chosen_subset)].mean(axis=0))
+
+
 def test_mda_and_medoid_hold_when_the_extent_passes_the_float_range():
     # the extent, 2e308, overflows unless it is taken on the halved points
     pts = np.array([(-1e308, 0.0), (1e308, 0.0), (0.5e308, 0.0), (0.6e308, 1.0)])

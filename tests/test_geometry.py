@@ -228,12 +228,14 @@ def _working_sets(rng, count):
     return seen
 
 
-def test_best_basis_matches_all_subsets_oracle():
-    # the level search solves only the supports holding the violator and
-    # stops at the first KKT-certified one; the exhaustive search agrees
-    rng = np.random.default_rng(2024)
-    cases = _working_sets(rng, 1000)
+@pytest.fixture(scope="module")
+def working_sets():
+    cases = _working_sets(np.random.default_rng(2024), 1000)
     assert len(cases) >= 1000
+    return cases
+
+
+def _check_best_basis_against_oracle(cases):
     for C, R, work in cases:
         y, rho, support = mebagg.geometry._best_basis(C, R, work)
         _, rho_all, _ = _all_subsets_basis(C, R, work)
@@ -247,6 +249,65 @@ def test_best_basis_matches_all_subsets_oracle():
         weights = np.linalg.lstsq(A, np.append(y, 1.0), rcond=None)[0]
         assert weights.min() >= -1e-9
         assert np.linalg.norm(A @ weights - np.append(y, 1.0)) <= 1e-9
+
+
+def test_best_basis_matches_all_subsets_oracle(working_sets, monkeypatch):
+    # the pivot settles almost every working set of at most d+1 balls; the
+    # level search takes the rest; the exhaustive search agrees either way
+    pivot, stalled = mebagg.geometry._pivot, []
+
+    def recording(*args):
+        best = pivot(*args)
+        stalled.append(best is None)
+        return best
+
+    monkeypatch.setattr(mebagg.geometry, "_pivot", recording)
+    _check_best_basis_against_oracle(working_sets)
+    assert len(stalled) >= 900 and sum(stalled) <= len(stalled) // 10
+
+
+def test_best_basis_level_search_matches_all_subsets_oracle(working_sets, monkeypatch):
+    # with the pivot out, the level search solves only the supports holding
+    # the violator and stops at the first KKT-certified one
+    monkeypatch.setattr(mebagg.geometry, "_pivot", lambda *args: None)
+    _check_best_basis_against_oracle(working_sets)
+
+
+def test_meb_regular_simplex_by_the_pivot_alone(monkeypatch):
+    # the level search raises, so the pivot alone settles every round
+    def no_level_search(*args):
+        raise AssertionError("the level search ran")
+
+    monkeypatch.setattr(mebagg.geometry, "_index_chunks", no_level_search)
+    for d in range(1, 21):
+        ball = meb(np.eye(d + 1))
+        assert math.isclose(ball.radius, math.sqrt(d / (d + 1)), rel_tol=1e-12), d
+        assert np.allclose(ball.center, 1.0 / (d + 1), rtol=0.0, atol=1e-12), d
+
+
+def test_unique_rows_matches_numpy_unique():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        d = int(rng.integers(1, 6))
+        grid = rng.integers(-2, 3, size=(int(rng.integers(1, 20)), d)).astype(float)
+        a = grid[rng.integers(0, len(grid), size=int(rng.integers(1, 41)))]
+        a[rng.random(size=a.shape) < 0.2] *= -1.0  # -0.0 and 0.0 merge as np.unique merges them
+        rows, first = mebagg.geometry._unique_rows(a)
+        expected_rows, expected_first = np.unique(a, axis=0, return_index=True)
+        assert np.array_equal(rows, expected_rows)
+        assert np.array_equal(first, expected_first)
+
+
+def test_meb_is_bit_identical_under_row_permutations():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        base = rng.normal(size=(int(rng.integers(2, 8)), 3))
+        pts = base[rng.integers(0, len(base), size=12)]
+        ball = meb(pts)
+        for _ in range(5):
+            other = meb(pts[rng.permutation(len(pts))])
+            assert np.array_equal(other.center, ball.center)
+            assert other.radius == ball.radius
 
 
 def test_geometry_imports_no_higher_layer():
@@ -291,6 +352,13 @@ def test_diameter_examples():
     assert diameter([(0.0, 0.0)]) == 0.0
     assert math.isclose(diameter([(0, 0), (3, 4)]), 5.0, rel_tol=1e-12)
     assert math.isclose(diameter([(0, 0), (1, 0), (0, 1)]), math.sqrt(2), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [2.0**700, 2.0**-700], ids=["2**700", "2**-700"])
+def test_diameter_is_scale_equivariant(scale, rng):
+    # raw squared differences overflow (or vanish) at these scales
+    pts = rng.normal(size=(9, 3))
+    assert diameter(pts * scale) == diameter(pts) * scale
 
 
 def test_dist_to_ball_examples():

@@ -330,6 +330,14 @@ def test_relation_relaxed_convex_factor(rng):
     assert report.passed
 
 
+def test_relation_relaxed_convex_holds_at_large_scale():
+    # the diameter and the distance to the center square past the float range
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        honest = rng.normal(size=(5, 2)) * 1e200
+        assert relation_check("relaxed-convex-implies-meb", honest, rng=rng).passed
+
+
 def test_relation_sampling_sweeps(rng):
     for relation in RELATIONS:
         for _ in range(50):
