@@ -33,7 +33,6 @@ from .errors import (
 from .geometry import (
     Ball,
     TrustedBox,
-    circumball,
     diameter,
     dist_to_ball,
     dist_to_hull,
@@ -43,6 +42,7 @@ from .geometry import (
 )
 from .oracle import (
     candidate_balls_bruteforce,
+    circumball,
     exhaustive_factor,
     grid_minmax,
     meb_bruteforce,

@@ -7,7 +7,6 @@ up to solver tolerance.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,16 +32,15 @@ from .geometry import (
     _row_norms,
     _spread_exp,
     _unique_rows,
-    meb,
 )
 from .pointset import as_points, as_vector
 
 MAX_SUBSETS = 2_000_000
 
-# One ``meb`` call costs about as much as this many batched support-set
-# checks (measured ratios run from a few hundred to a few thousand, growing
-# with n); candidate_balls enumerates subsets when that makes them cheaper.
-_MEB_COST_IN_SUPPORTS = 1000
+# One node of the violator search (``_reachable``) costs about as much as
+# this many batched support-set checks; candidate_balls searches when the
+# search's node bound, at this price, undercuts the supports.
+_MEB_COST_IN_SUPPORTS = 500
 
 
 @dataclass(frozen=True)
@@ -160,23 +158,49 @@ def _ball_keys(centers, radii) -> np.ndarray:
     return np.round(np.column_stack([centers, radii]), 12)
 
 
-def _support_balls(P: np.ndarray, m: int):
-    """(centers, radii, witnesses) of every support set whose circumball is
-    the MEB of some size-m subset of the points P, duplicates kept.
+def _reachable(P: np.ndarray, t: int) -> np.ndarray:
+    """Indices of the points of P on the sphere of some MEB(P minus U), |U| <= t.
+
+    A violator search (Matousek, DCG 14, 1995) over the distinct locations L:
+    a node removes a set V of them, memoised, with at most t copies in all,
+    and branches on each basis location of MEB(L minus V) that fits. Removing
+    points off a basis keeps the ball, so one basis per node reaches them all.
+    """
+    L, copies = np.unique(P, axis=0, return_counts=True)
+    on_sphere = np.zeros(P.shape[0], dtype=bool)
+    seen, todo = set(), [frozenset()]
+    while todo:
+        if (V := todo.pop()) in seen:
+            continue
+        seen.add(V)
+        rest = np.delete(np.arange(len(L)), list(V))
+        y, _, basis = _one_center(L[rest], np.ones(rest.size))
+        # a generous tolerance in the unit frame keeps every basis of the ball
+        on_sphere |= np.abs(_row_norms(P - y) - _row_norms(L[rest] - y).max()) <= 1e-9
+        budget = t - copies[list(V)].sum()
+        todo += [V | {int(j)} for j in rest[basis] if copies[j] <= budget]
+    return np.flatnonzero(on_sphere)
+
+
+def _support_balls(P: np.ndarray, m: int, among: np.ndarray):
+    """(centers, radii, witnesses) of every support set from the points
+    ``among`` whose circumball is the MEB of some size-m subset of P.
 
     Every MEB(T) is the circumball B_S of a support S of at most d+1
     affinely independent points whose circumcenter lies in conv(S), and
     conversely any T with S in T inside B_S has MEB(T) = B_S. So a support
     counts when its circumcenter has non-negative barycentric weights and
-    B_S covers at least m points, and its witness is S plus the
-    lowest-index covered points.
+    B_S covers at least m of all the points, and its witness is S plus the
+    lowest-index covered points. ``among`` holds every point on a
+    candidate's sphere (``_reachable``), or all of them.
     """
     n, d = P.shape
     slack = 1e-12 * float(np.abs(P).max())
     rows = max(1, _CHUNK_ELEMS // (n * d))
     centers, radii, witnesses = [], [], []
     for k in range(1, min(d + 1, m) + 1):
-        for S in _index_chunks(n, k, rows):
+        for S in _index_chunks(among.size, k, rows):
+            S = among[S]
             base = P[S[:, 0]]
             c = base
             if k > 1:
@@ -210,34 +234,18 @@ def _support_balls(P: np.ndarray, m: int):
     return np.concatenate(centers), np.concatenate(radii), np.concatenate(witnesses)
 
 
-def _subset_balls(P: np.ndarray, m: int):
-    """(centers, radii, witnesses) from one ``meb`` per size-m subset of the
-    points P, in lexicographic order, keeping the first subset of each
-    distinct ball; P comes in the units that ``candidate_balls`` keys in."""
-    seen = set()
-    centers, radii, witnesses = [], [], []
-    for sub in itertools.combinations(range(P.shape[0]), m):
-        ball = meb(P[list(sub)])
-        key = tuple(_ball_keys(ball.center[None], [ball.radius])[0])
-        if key not in seen:
-            seen.add(key)
-            centers.append(ball.center)
-            radii.append(ball.radius)
-            witnesses.append(sub)
-    return np.array(centers), np.array(radii), np.array(witnesses, dtype=np.intp)
-
-
 def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> CandidateBalls:
     """The distinct MEBs of the size-(n-t) subsets, each with its
     lexicographically smallest witness subset, ordered by witness.
 
     The balls come from the support sets of at most d+1 points
-    (``_support_balls``), sum over k <= min(d+1, n-t) of C(n, k) of them,
-    or, when the C(n, t) subsets are far fewer, from one ``meb`` per subset
-    (``_subset_balls``); both give the same balls. ``TooManySubsetsError``
-    is raised only when both counts exceed ``max_subsets``, and the subsets
-    are taken whenever only they fit under it. Radii are realized covering
-    radii over the witness, as ``meb`` reports them.
+    (``_support_balls``), sum over k <= min(d+1, n-t) of C(n, k) of them.
+    When that count exceeds ``max_subsets`` or a violator search's node
+    bound (``_reachable``) priced at ``_MEB_COST_IN_SUPPORTS``, only points
+    the search finds on a candidate's sphere join supports; the balls come
+    out the same. ``TooManySubsetsError`` is raised only when the supports
+    and the C(n, t) subsets both exceed ``max_subsets``. Radii are realized
+    covering radii over the witness, as ``meb`` reports them.
     """
     pts = as_points(points)
     n, d = pts.shape
@@ -257,10 +265,10 @@ def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> Candid
     P = pts - origin
     e = _spread_exp(P)
     P = np.ldexp(P, -e)
-    if supports > max_subsets or subsets * _MEB_COST_IN_SUPPORTS < supports:
-        C, R, W = _subset_balls(P, m)
-    else:
-        C, R, W = _support_balls(P, m)
+    # each node of the search branches on at most d+1 basis points
+    nodes = sum(min(math.comb(n, j), (d + 1) ** j) for j in range(t + 1))
+    search = supports > max_subsets or nodes * _MEB_COST_IN_SUPPORTS < supports
+    C, R, W = _support_balls(P, m, _reachable(P, t) if search else np.arange(n))
     # one ball per key; the first in witness order has the smallest witness
     order = np.lexsort(W.T[::-1])
     _, first = _unique_rows(_ball_keys(C[order], R[order]))
@@ -456,7 +464,7 @@ def solve_minmax(balls) -> tuple[np.ndarray, float]:
     if uniq_idx.size < C.shape[0]:
         C = C[np.sort(uniq_idx)]
         R = R[np.sort(uniq_idx)]
-    y, _ = _one_center(C, R)
+    y, _, _ = _one_center(C, R)
     return y, float(cb.ratios(y).max()) - 1.0
 
 

@@ -66,31 +66,6 @@ class TrustedBox:
         return self.lo.size
 
 
-def circumball(points) -> Ball:
-    """Ball through all given points with center in their affine hull.
-
-    For k affinely independent points this is the unique (k-1)-sphere
-    through them, extended to the smallest d-ball. Degenerate (affinely
-    dependent) inputs are resolved by a least-squares center.
-    """
-    pts = as_points(points)
-    if pts.shape[0] == 1:
-        return Ball(pts[0], 0.0)
-    base = pts[0]
-    V = pts[1:] - base
-    G = 2.0 * (V @ V.T)
-    b = np.einsum("ij,ij->i", V, V)
-    try:
-        gamma = np.linalg.solve(G, b)
-        if not np.all(np.isfinite(gamma)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        gamma, *_ = np.linalg.lstsq(G, b, rcond=None)
-    center = base + gamma @ V
-    radius = float(np.max(np.linalg.norm(pts - center, axis=1)))
-    return Ball(center, radius)
-
-
 # Working-set rounds before the enclosing solve gives up. Each round
 # strictly raises the working-set optimum, so it settles long before this.
 _MINMAX_MAX_ROUNDS = 500
@@ -132,6 +107,15 @@ def _row_norms(diff: np.ndarray) -> np.ndarray:
     and scaled back, so the squares neither overflow nor underflow."""
     e = _spread_exp(diff)
     return np.ldexp(np.linalg.norm(np.ldexp(diff, -e), axis=1), e)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)``, rescaled like ``_row_norms`` if its square over- or underflows."""
+    top = float(np.abs(v).max())
+    if 2.0**-500 < top < 2.0**500:  # the square stays finite and normal
+        return float(np.linalg.norm(v))
+    e = _spread_exp(v)
+    return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,8 +218,9 @@ def _best_basis(C: np.ndarray, R: np.ndarray, work: list[int]):
     return best
 
 
-def _one_center(C: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:
-    """(y, rho) minimizing rho = max_i ||y - c_i|| / r_i, exactly; all r_i > 0.
+def _one_center(C: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float, list[int]]:
+    """(y, rho, basis) minimizing rho = max_i ||y - c_i|| / r_i, exactly;
+    all r_i > 0. ``basis`` indexes tight balls that alone give this optimum.
 
     The weighted Euclidean 1-center problem (Megiddo 1983) is LP-type with
     combinatorial dimension d+1, so the optimum is fixed by at most d+1
@@ -266,7 +251,7 @@ def _one_center(C: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:
         ratios = np.linalg.norm(local - y, axis=1) / R
         worst = int(np.argmax(ratios))
         if ratios[worst] <= rho * (1.0 + 1e-12):
-            return np.ldexp(y, cexp) + origin, float(np.ldexp(rho, cexp - rexp))
+            return np.ldexp(y, cexp) + origin, float(np.ldexp(rho, cexp - rexp)), support
         work = support + [worst]
     raise NonConvergenceError(f"active set did not settle within {_MINMAX_MAX_ROUNDS} rounds")
 
@@ -285,7 +270,7 @@ def meb(points) -> Ball:
     uniq, _ = _unique_rows(pts)
     if uniq.shape[0] == 1:
         return Ball(uniq[0], 0.0)
-    center, _ = _one_center(uniq, np.ones(uniq.shape[0]))
+    center, _, _ = _one_center(uniq, np.ones(uniq.shape[0]))
     # pin containment with the realized radius
     return Ball(center, float(_row_norms(pts - center).max()))
 
@@ -302,7 +287,7 @@ def diameter(points) -> float:
 def dist_to_ball(y, ball: Ball) -> float:
     """Euclidean gap from y to the ball surface; 0 inside."""
     v = as_vector(y, ball.dim)
-    return max(0.0, float(np.linalg.norm(v - ball.center)) - ball.radius)
+    return max(0.0, _norm(v - ball.center) - ball.radius)
 
 
 def dist_to_hull(y, points, *, max_iter: int = HULL_MAX_ITER, return_witness: bool = False):
@@ -360,7 +345,7 @@ def dist_to_hull(y, points, *, max_iter: int = HULL_MAX_ITER, return_witness: bo
     else:
         raise NonConvergenceError(f"hull projection did not settle within {max_iter} major cycles")
     witness = np.ldexp(x, e) + v
-    dist = float(np.linalg.norm(witness - v))
+    dist = _norm(witness - v)
     return (dist, witness) if return_witness else dist
 
 

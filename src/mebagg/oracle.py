@@ -14,7 +14,7 @@ import numpy as np
 
 from .aggregate import CandidateBalls, candidate_balls
 from .errors import InstanceTooLargeError, InvalidFaultBudgetError, MebaggError
-from .geometry import Ball, _length_tol, circumball, meb
+from .geometry import Ball, _length_tol, meb
 from .pointset import as_points
 
 BRUTEFORCE_MAX_N = 12
@@ -22,6 +22,31 @@ BRUTEFORCE_MAX_D = 4
 BRUTEFORCE_MAX_SUBSETS = 100_000
 GRID_MAX_D = 3
 GRID_MAX_CELLS = 100_000_000
+
+
+def circumball(points) -> Ball:
+    """Ball through all given points with center in their affine hull.
+
+    For k affinely independent points this is the unique (k-1)-sphere
+    through them, extended to the smallest d-ball. Degenerate (affinely
+    dependent) inputs are resolved by a least-squares center.
+    """
+    pts = as_points(points)
+    if pts.shape[0] == 1:
+        return Ball(pts[0], 0.0)
+    base = pts[0]
+    V = pts[1:] - base
+    G = 2.0 * (V @ V.T)
+    b = np.einsum("ij,ij->i", V, V)
+    try:
+        gamma = np.linalg.solve(G, b)
+        if not np.all(np.isfinite(gamma)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        gamma, *_ = np.linalg.lstsq(G, b, rcond=None)
+    center = base + gamma @ V
+    radius = float(np.max(np.linalg.norm(pts - center, axis=1)))
+    return Ball(center, radius)
 
 
 def meb_bruteforce(points) -> Ball:

@@ -20,7 +20,7 @@ from .errors import (
     ZeroRadiusError,
 )
 from .geometry import (
-    Ball, _length_tol, _row_norms, diameter, dist_to_ball, dist_to_hull, meb, sample_in_ball,
+    Ball, _length_tol, _norm, _row_norms, diameter, dist_to_ball, dist_to_hull, meb, sample_in_ball,
     trusted_box,
 )
 from .pointset import as_points, as_vector
@@ -87,8 +87,7 @@ def phi(y, ball: Ball) -> float:
     """Relative gap to a candidate ball: max(0, ||y-c|| - r)/r."""
     if ball.radius <= 0:
         raise ZeroRadiusError("phi is undefined for a zero-radius ball")
-    v = as_vector(y, ball.dim)
-    return max(0.0, float(np.linalg.norm(v - ball.center)) - ball.radius) / ball.radius
+    return dist_to_ball(y, ball) / ball.radius
 
 
 def check_c_meb(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificate:
@@ -105,7 +104,7 @@ def check_c_meb(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificate:
     pts = as_points(honest)
     ball = _honest_ball(pts)
     v = as_vector(y, ball.dim)
-    dist = float(np.linalg.norm(v - ball.center))
+    dist = _norm(v - ball.center)
     if ball.radius <= 0:
         achieved = 0.0 if dist <= _length_tol(tol, pts) else math.inf
     else:
@@ -167,7 +166,7 @@ def check_relaxed_convex(y, honest, delta: float, *, tol: float = ABS_TOL) -> Ce
         raise InvalidParamsError(f"delta must be >= 0, got {delta}")
     pts = as_points(honest)
     v = as_vector(y, pts.shape[1])
-    dists = np.linalg.norm(pts - v, axis=1)
+    dists = _row_norms(pts - v)
     worst = int(np.argmax(dists))
     return _certify(
         f"relaxed-convex(delta={delta:g})", float(dists[worst]), delta, tol, pts[worst],
@@ -183,7 +182,7 @@ def check_bias_bound(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificat
     pts = as_points(honest)
     v = as_vector(y, pts.shape[1])
     ball = _honest_ball(pts)
-    achieved = float(np.linalg.norm(v - pts.mean(axis=0)))
+    achieved = _norm(v - pts.mean(axis=0))
     bound = (c + 1.0) * ball.radius
     return _certify(f"bias(c={c:g})", achieved, bound, tol, pts.mean(axis=0), points=pts)
 
@@ -291,13 +290,13 @@ def relation_check(
             v = box.lo + rng.random(d) * (box.hi - box.lo)
         else:
             v = as_vector(y, d)
-        dist = float(np.linalg.norm(v - ball.center))
+        dist = _norm(v - ball.center)
         bound = math.sqrt(d) * ball.radius
         return RelationReport(relation, v, dist, bound, dist <= bound + tol)
 
     if relation == "cmeb-implies-relaxed-convex":
         v = ball.center + sample_in_ball(rng, d, c * ball.radius) if y is None else as_vector(y, d)
-        achieved = float(np.max(np.linalg.norm(pts - v, axis=1)))
+        achieved = float(_row_norms(pts - v).max())
         bound = (c + 1.0) * ball.radius
         return RelationReport(
             relation, v, achieved, bound, achieved <= bound + tol, {"c": c}
@@ -314,7 +313,7 @@ def relation_check(
         v = base + sample_in_ball(rng, d, delta)
     else:
         v = as_vector(y, d)
-    dist = float(_row_norms((v - ball.center)[None])[0])
+    dist = _norm(v - ball.center)
     bound = (1.0 + 2.0 * delta / diam) * ball.radius
     return RelationReport(
         relation, v, dist, bound, dist <= bound + tol, {"delta": delta, "diam": diam}

@@ -358,6 +358,8 @@ def test_candidate_balls_count():
 
 def _agreement_cases():
     shapes = [(6, 2, 1), (9, 3, 2), (12, 4, 3), (10, 2, 5), (20, 2, 3), (14, 2, 8), (20, 1, 8)]
+    # the benchmark's t = 1 shapes that take the violator search by default
+    shapes += [(18, 1, 4), (19, 1, 3), (24, 1, 2)]
     for n, t, d in shapes:
         pts = random_instance(n, t, d, seed=n + d).points.points
         yield pytest.param(pts, t, id=f"random-{n}-{t}-{d}")
@@ -374,13 +376,18 @@ def _agreement_cases():
     for seed in (0, 1):
         tripled = np.repeat(np.random.default_rng(seed).normal(size=(3, 3)), 3, axis=0)
         yield pytest.param(tripled, 6, id=f"tripled-{seed}")
-    # few subsets next to the supports: the subset enumeration by default
+    # few search nodes next to the supports: the violator search by default
     for n, t, d in [(40, 1, 3), (25, 0, 4)]:
         pts = random_instance(n, max(t, 1), d, seed=n + d).points.points
         yield pytest.param(pts, t, id=f"random-{n}-{t}-{d}")
+    # a far location whose copies number t can be removed; with t + 1 it cannot
+    for copies in (2, 3):
+        pts = np.vstack([np.random.default_rng(copies).normal(size=(6, 2)), [[3.0, 3.0]] * copies])
+        yield pytest.param(pts, 2, id=f"far-copies-{copies}")
 
 
-# a zero meb cost takes the subset enumeration, an infinite one the supports
+# a zero meb cost forces the violator search, which enumerates the supports
+# among a subset of the points; an infinite one enumerates all of them
 @pytest.mark.parametrize("meb_cost", [0, math.inf], ids=["subsets", "supports"])
 @pytest.mark.parametrize("pts,t", list(_agreement_cases()))
 def test_candidate_balls_agree_with_subset_oracle(pts, t, meb_cost, monkeypatch):
@@ -409,6 +416,47 @@ def test_candidate_balls_agree_with_subset_oracle(pts, t, meb_cost, monkeypatch)
     ref_factor, ref_witness = worst_designation(pts, t, y, balls=reference)
     assert math.isclose(factor, ref_factor, rel_tol=1e-10)
     assert witness == ref_witness
+
+
+def _forced(pts, t, meb_cost, monkeypatch):
+    monkeypatch.setattr(aggregate, "_MEB_COST_IN_SUPPORTS", meb_cost)
+    balls = candidate_balls(pts, t)
+    return balls.centers().tobytes(), balls.radii().tobytes(), balls.subsets
+
+
+def test_candidate_balls_search_matches_full_supports(monkeypatch):
+    # the search only narrows which supports the kernel enumerates, so every
+    # center, radius and witness comes out bit for bit the same
+    rng = np.random.default_rng(29)
+    for i in range(300):
+        n, d = int(rng.integers(3, 12)), int(rng.integers(1, 5))
+        t = int(rng.integers(0, min(3, n)))
+        if i % 2:
+            pts = rng.integers(0, 3, size=(n, d)).astype(float)
+        else:
+            pts = rng.normal(size=(n, d))
+        search = _forced(pts, t, 0, monkeypatch)
+        assert search == _forced(pts, t, math.inf, monkeypatch), (n, t, d, i)
+
+
+def test_candidate_balls_search_enumerates_few_supports(monkeypatch):
+    walked = []
+    index_chunks = aggregate._index_chunks
+
+    def counting(*args):
+        for chunk in index_chunks(*args):
+            walked.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(aggregate, "_index_chunks", counting)
+    # the search takes (18, 1, 4), whose 12 615 supports hold 5 distinct balls
+    pts = random_instance(18, 1, 4, seed=22).points.points
+    searched = candidate_balls(pts, 1)
+    assert 0 < sum(walked) <= 300
+    walked.clear()
+    monkeypatch.setattr(aggregate, "_MEB_COST_IN_SUPPORTS", math.inf)
+    assert candidate_balls(pts, 1).subsets == searched.subsets
+    assert sum(walked) == sum(math.comb(18, k) for k in range(1, 6))
 
 
 def test_candidate_balls_at_extreme_scales():
@@ -443,7 +491,7 @@ def test_candidate_balls_small_t_enumerates_subsets():
     assert len(balls) == 1 and balls.subsets == (tuple(range(300)),)
     direct = meb(pts)
     assert math.isclose(balls.balls[0].radius, direct.radius, rel_tol=1e-12)
-    # 40 subsets fit under a cap that the 10 700 supports exceed
+    # the search runs when the 10 700 supports exceed the cap
     pts = random_cloud(np.random.default_rng(42), 40, 2)
     assert len(candidate_balls(pts, 1, max_subsets=100)) > 0
 

@@ -19,6 +19,7 @@ from mebagg import (
     check_c_meb,
     check_convex,
     check_relaxed_convex,
+    dist_to_ball,
     geometric_median,
     meb,
     medoid_counterexample,
@@ -336,6 +337,31 @@ def test_relation_relaxed_convex_holds_at_large_scale():
     for _ in range(20):
         honest = rng.normal(size=(5, 2)) * 1e200
         assert relation_check("relaxed-convex-implies-meb", honest, rng=rng).passed
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_lengths_scale_past_the_float_range(scale):
+    # the squares of these lengths overflow (1e200) or vanish (1e-200) unless
+    # taken in a power-of-two unit, and RuntimeWarnings are errors here
+    unit = np.random.default_rng(1).normal(size=(5, 2))
+    pts, y, far = unit * scale, unit.mean(axis=0), unit.mean(axis=0) + 3.0
+    for relation in RELATIONS:
+        got = relation_check(relation, pts, rng=np.random.default_rng(2))
+        want = relation_check(relation, unit, rng=np.random.default_rng(2))
+        assert got.passed == want.passed
+        assert math.isclose(got.achieved / scale, want.achieved, rel_tol=1e-12, abs_tol=1e-12)
+    checks = [
+        lambda p, v, s: check_c_meb(v, p, 2.0).achieved,
+        lambda p, v, s: check_relaxed_convex(v, p, s).achieved / s,
+        lambda p, v, s: check_bias_bound(v, p, 2.0).achieved / s,
+        lambda p, v, s: check_convex(v, p).achieved / s,
+        lambda p, v, s: dist_to_ball(v, meb(p)) / s,
+        lambda p, v, s: phi(v, meb(p)),
+    ]
+    for check in checks:
+        for v in (y, far):
+            got, want = check(pts, v * scale, scale), check(unit, v, 1.0)
+            assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def test_relation_sampling_sweeps(rng):
