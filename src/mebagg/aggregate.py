@@ -7,6 +7,7 @@ up to solver tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,9 +38,9 @@ from .pointset import as_points, as_vector
 
 MAX_SUBSETS = 2_000_000
 
-# One node of the violator search (``_reachable``) costs about as much as
-# this many batched support-set checks; candidate_balls searches when the
-# search's node bound, at this price, undercuts the supports.
+# One violator-search node (``_search_rows``) costs about this many batched
+# support checks: candidate_balls searches when its node bound is cheaper than
+# the supports, and the search falls back to bases past C(n, t) at this price.
 _MEB_COST_IN_SUPPORTS = 500
 
 
@@ -158,49 +159,60 @@ def _ball_keys(centers, radii) -> np.ndarray:
     return np.round(np.column_stack([centers, radii]), 12)
 
 
-def _reachable(P: np.ndarray, t: int) -> np.ndarray:
-    """Indices of the points of P on the sphere of some MEB(P minus U), |U| <= t.
+def _search_rows(P: np.ndarray, t: int, m: int, cap: int | None) -> list:
+    """Support rows, by size then lexicographically, with each candidate's smallest witness.
 
-    A violator search (Matousek, DCG 14, 1995) over the distinct locations L:
-    a node removes a set V of them, memoised, with at most t copies in all,
-    and branches on each basis location of MEB(L minus V) that fits. Removing
-    points off a basis keeps the ball, so one basis per node reaches them all.
+    A violator search (Matousek, DCG 14, 1995) over the distinct locations
+    L: a node removes a set V of them, memoised, at most t points in all,
+    and branches on each basis location of B = MEB(L minus V); points off a
+    basis leave B as it is, so this reaches every candidate. B's rows use
+    the lowest copies within 1e-9 of its sphere; if they are affinely
+    independent, every support holds each of weight above 1e-6: one row if
+    generic. Past ``cap`` rows it restarts with cap None, one basis row per
+    removable set: some node keeps just the locations of B's smallest witness.
     """
-    L, copies = np.unique(P, axis=0, return_counts=True)
-    on_sphere = np.zeros(P.shape[0], dtype=bool)
-    seen, todo = set(), [frozenset()]
+    L, first = _unique_rows(P)
+    rows, seen, todo = set(), set(), [frozenset()]
     while todo:
         if (V := todo.pop()) in seen:
             continue
         seen.add(V)
         rest = np.delete(np.arange(len(L)), list(V))
-        y, _, basis = _one_center(L[rest], np.ones(rest.size))
-        # a generous tolerance in the unit frame keeps every basis of the ball
-        on_sphere |= np.abs(_row_norms(P - y) - _row_norms(L[rest] - y).max()) <= 1e-9
-        budget = t - copies[list(V)].sum()
-        todo += [V | {int(j)} for j in rest[basis] if copies[j] <= budget]
-    return np.flatnonzero(on_sphere)
+        y, rho, basis = _one_center(L[rest], np.ones(rest.size))
+        Q = np.sort(first[rest[basis] if cap is None else np.abs(_row_norms(L - y) - rho) <= 1e-9])
+        core, A = np.zeros(Q.size, dtype=bool), P[Q[1:]] - P[Q[0]]
+        if Q.size <= P.shape[1] + 1 and _full_rank(A @ A.T):
+            beta = np.linalg.solve(A @ A.T, A @ (y - P[Q[0]]))
+            core = np.append(1.0 - beta.sum(), beta) > 1e-6
+        fixed, free = Q[core].tolist(), Q[~core].tolist()
+        sizes = range(int(not fixed), min(P.shape[1] + 1, m) - len(fixed) + 1)
+        if cap is not None and len(rows) + sum(math.comb(len(free), j) for j in sizes) > cap:
+            return _search_rows(P, t, m, None)
+        extras = itertools.chain.from_iterable(itertools.combinations(free, j) for j in sizes)
+        rows.update(tuple(sorted(fixed + list(x))) for x in extras)
+        budget = t - (P[:, None] == L[list(V)]).all(axis=2).any(axis=1).sum()
+        branch = (rest if cap is None else rest[basis]) if budget > 0 else []
+        todo += [V | {int(j)} for j in branch if (P == L[j]).all(axis=1).sum() <= budget]
+    return sorted(rows, key=lambda S: (len(S), S))
 
 
-def _support_balls(P: np.ndarray, m: int, among: np.ndarray):
-    """(centers, radii, witnesses) of every support set from the points
-    ``among`` whose circumball is the MEB of some size-m subset of P.
+def _support_balls(P: np.ndarray, m: int, found: list | None = None):
+    """(centers, radii, witnesses) of every support set, or every row of
+    ``found``, whose circumball is the MEB of a size-m subset of P, duplicates kept.
 
     Every MEB(T) is the circumball B_S of a support S of at most d+1
     affinely independent points whose circumcenter lies in conv(S), and
     conversely any T with S in T inside B_S has MEB(T) = B_S. So a support
     counts when its circumcenter has non-negative barycentric weights and
-    B_S covers at least m of all the points, and its witness is S plus the
-    lowest-index covered points. ``among`` holds every point on a
-    candidate's sphere (``_reachable``), or all of them.
+    B_S covers at least m of the points, and its witness is S plus the
+    lowest-index covered points.
     """
     n, d = P.shape
     slack = 1e-12 * float(np.abs(P).max())
     rows = max(1, _CHUNK_ELEMS // (n * d))
     centers, radii, witnesses = [], [], []
     for k in range(1, min(d + 1, m) + 1):
-        for S in _index_chunks(among.size, k, rows):
-            S = among[S]
+        for S in _index_chunks(n, k, rows, found and [S for S in found if len(S) == k]):
             base = P[S[:, 0]]
             c = base
             if k > 1:
@@ -241,11 +253,11 @@ def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> Candid
     The balls come from the support sets of at most d+1 points
     (``_support_balls``), sum over k <= min(d+1, n-t) of C(n, k) of them.
     When that count exceeds ``max_subsets`` or a violator search's node
-    bound (``_reachable``) priced at ``_MEB_COST_IN_SUPPORTS``, only points
-    the search finds on a candidate's sphere join supports; the balls come
-    out the same. ``TooManySubsetsError`` is raised only when the supports
-    and the C(n, t) subsets both exceed ``max_subsets``. Radii are realized
-    covering radii over the witness, as ``meb`` reports them.
+    bound priced at ``_MEB_COST_IN_SUPPORTS``, the search (``_search_rows``)
+    picks the few that can win, or about C(n, t) bases if they are many,
+    with the same balls. ``TooManySubsetsError`` is raised only when the
+    supports and the C(n, t) subsets both exceed ``max_subsets``. Radii are
+    realized covering radii over the witness, as ``meb`` reports them.
     """
     pts = as_points(points)
     n, d = pts.shape
@@ -265,10 +277,10 @@ def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> Candid
     P = pts - origin
     e = _spread_exp(P)
     P = np.ldexp(P, -e)
-    # each node of the search branches on at most d+1 basis points
-    nodes = sum(min(math.comb(n, j), (d + 1) ** j) for j in range(t + 1))
+    nodes = sum(min(math.comb(n, j), (d + 1) ** j) for j in range(t + 1))  # d+1 branches each
     search = supports > max_subsets or nodes * _MEB_COST_IN_SUPPORTS < supports
-    C, R, W = _support_balls(P, m, _reachable(P, t) if search else np.arange(n))
+    cap = min(max_subsets, subsets * _MEB_COST_IN_SUPPORTS)
+    C, R, W = _support_balls(P, m, _search_rows(P, t, m, cap) if search else None)
     # one ball per key; the first in witness order has the smallest witness
     order = np.lexsort(W.T[::-1])
     _, first = _unique_rows(_ball_keys(C[order], R[order]))

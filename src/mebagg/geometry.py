@@ -75,9 +75,9 @@ _MINMAX_MAX_ROUNDS = 500
 _CHUNK_ELEMS = 1 << 16
 
 
-def _index_chunks(n: int, k: int, rows: int):
-    """The k-subsets of range(n) in lexicographic order, ``rows`` at a time."""
-    combos = itertools.combinations(range(n), k)
+def _index_chunks(n: int, k: int, rows: int, combos=None):
+    """The k-subsets of range(n) in lexicographic order, or ``combos``, ``rows`` at a time."""
+    combos = itertools.combinations(range(n), k) if combos is None else iter(combos)
     while chunk := list(itertools.islice(combos, rows)):
         flat = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, len(chunk) * k)
         yield flat.reshape(len(chunk), k)
@@ -103,19 +103,10 @@ def _length_tol(tol, pts: np.ndarray):
 
 
 def _row_norms(diff: np.ndarray) -> np.ndarray:
-    """Row norms of ``diff``, taken in the power-of-two unit of its spread
-    and scaled back, so the squares neither overflow nor underflow."""
+    """Row norms of ``diff``, or one vector's norm, in the power-of-two unit
+    of its spread: the squares cannot overflow or underflow, and in range no bit changes."""
     e = _spread_exp(diff)
-    return np.ldexp(np.linalg.norm(np.ldexp(diff, -e), axis=1), e)
-
-
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm(v)``, rescaled like ``_row_norms`` if its square over- or underflows."""
-    top = float(np.abs(v).max())
-    if 2.0**-500 < top < 2.0**500:  # the square stays finite and normal
-        return float(np.linalg.norm(v))
-    e = _spread_exp(v)
-    return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
+    return np.ldexp(np.linalg.norm(np.ldexp(diff, -e), axis=1 if diff.ndim > 1 else None), e)
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,7 +278,7 @@ def diameter(points) -> float:
 def dist_to_ball(y, ball: Ball) -> float:
     """Euclidean gap from y to the ball surface; 0 inside."""
     v = as_vector(y, ball.dim)
-    return max(0.0, _norm(v - ball.center) - ball.radius)
+    return max(0.0, float(_row_norms(v - ball.center)) - ball.radius)
 
 
 def dist_to_hull(y, points, *, max_iter: int = HULL_MAX_ITER, return_witness: bool = False):
@@ -345,7 +336,7 @@ def dist_to_hull(y, points, *, max_iter: int = HULL_MAX_ITER, return_witness: bo
     else:
         raise NonConvergenceError(f"hull projection did not settle within {max_iter} major cycles")
     witness = np.ldexp(x, e) + v
-    dist = _norm(witness - v)
+    dist = float(_row_norms(witness - v))
     return (dist, witness) if return_witness else dist
 
 

@@ -20,7 +20,7 @@ from .errors import (
     ZeroRadiusError,
 )
 from .geometry import (
-    Ball, _length_tol, _norm, _row_norms, diameter, dist_to_ball, dist_to_hull, meb, sample_in_ball,
+    Ball, _length_tol, _row_norms, diameter, dist_to_ball, dist_to_hull, meb, sample_in_ball,
     trusted_box,
 )
 from .pointset import as_points, as_vector
@@ -104,7 +104,7 @@ def check_c_meb(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificate:
     pts = as_points(honest)
     ball = _honest_ball(pts)
     v = as_vector(y, ball.dim)
-    dist = _norm(v - ball.center)
+    dist = float(_row_norms(v - ball.center))
     if ball.radius <= 0:
         achieved = 0.0 if dist <= _length_tol(tol, pts) else math.inf
     else:
@@ -182,7 +182,7 @@ def check_bias_bound(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificat
     pts = as_points(honest)
     v = as_vector(y, pts.shape[1])
     ball = _honest_ball(pts)
-    achieved = _norm(v - pts.mean(axis=0))
+    achieved = float(_row_norms(v - pts.mean(axis=0)))
     bound = (c + 1.0) * ball.radius
     return _certify(f"bias(c={c:g})", achieved, bound, tol, pts.mean(axis=0), points=pts)
 
@@ -290,7 +290,7 @@ def relation_check(
             v = box.lo + rng.random(d) * (box.hi - box.lo)
         else:
             v = as_vector(y, d)
-        dist = _norm(v - ball.center)
+        dist = float(_row_norms(v - ball.center))
         bound = math.sqrt(d) * ball.radius
         return RelationReport(relation, v, dist, bound, dist <= bound + tol)
 
@@ -313,7 +313,7 @@ def relation_check(
         v = base + sample_in_ball(rng, d, delta)
     else:
         v = as_vector(y, d)
-    dist = _norm(v - ball.center)
+    dist = float(_row_norms((v - ball.center)[None])[0])
     bound = (1.0 + 2.0 * delta / diam) * ball.radius
     return RelationReport(
         relation, v, dist, bound, dist <= bound + tol, {"delta": delta, "diam": diam}

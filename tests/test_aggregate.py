@@ -32,7 +32,7 @@ from mebagg import (
     worst_designation,
 )
 from mebagg import aggregate
-from mebagg.aggregate import _ball_keys
+from mebagg.aggregate import MAX_SUBSETS, _ball_keys
 from mebagg.geometry import _spread_exp
 from conftest import random_cloud, random_rotation
 
@@ -386,14 +386,21 @@ def _agreement_cases():
         yield pytest.param(pts, 2, id=f"far-copies-{copies}")
 
 
-# a zero meb cost forces the violator search, which enumerates the supports
-# among a subset of the points; an infinite one enumerates all of them
-@pytest.mark.parametrize("meb_cost", [0, math.inf], ids=["subsets", "supports"])
+def _route(monkeypatch, path):
+    """Send candidate_balls down one path: the violator search, its bounded
+    fallback over every removable set (one basis each), or all supports."""
+    monkeypatch.setattr(aggregate, "_MEB_COST_IN_SUPPORTS", math.inf if path == "supports" else 0)
+    if path != "supports":
+        cap, search_rows = MAX_SUBSETS if path == "search" else None, aggregate._search_rows
+        monkeypatch.setattr(aggregate, "_search_rows", lambda P, t, m, _: search_rows(P, t, m, cap))
+
+
+@pytest.mark.parametrize("path", ["subsets", "search", "supports"])
 @pytest.mark.parametrize("pts,t", list(_agreement_cases()))
-def test_candidate_balls_agree_with_subset_oracle(pts, t, meb_cost, monkeypatch):
+def test_candidate_balls_agree_with_subset_oracle(pts, t, path, monkeypatch):
     from mebagg import meb
 
-    monkeypatch.setattr(aggregate, "_MEB_COST_IN_SUPPORTS", meb_cost)
+    _route(monkeypatch, path)
     balls = candidate_balls(pts, t)
     reference = candidate_balls_bruteforce(pts, t)
     got, want = _distinct_keys(balls, pts), _distinct_keys(reference, pts)
@@ -418,15 +425,17 @@ def test_candidate_balls_agree_with_subset_oracle(pts, t, meb_cost, monkeypatch)
     assert witness == ref_witness
 
 
-def _forced(pts, t, meb_cost, monkeypatch):
-    monkeypatch.setattr(aggregate, "_MEB_COST_IN_SUPPORTS", meb_cost)
-    balls = candidate_balls(pts, t)
-    return balls.centers().tobytes(), balls.radii().tobytes(), balls.subsets
+def _forced(pts, t, path, monkeypatch):
+    with monkeypatch.context() as patch:
+        _route(patch, path)
+        balls = candidate_balls(pts, t)
+    return balls.centers(), balls.radii(), balls.subsets
 
 
 def test_candidate_balls_search_matches_full_supports(monkeypatch):
-    # the search only narrows which supports the kernel enumerates, so every
-    # center, radius and witness comes out bit for bit the same
+    # the search only narrows which supports the kernel checks, so every
+    # center, radius and witness comes out bit for bit the same; the
+    # fallback finds the same witnesses, its centers from a basis each
     rng = np.random.default_rng(29)
     for i in range(300):
         n, d = int(rng.integers(3, 12)), int(rng.integers(1, 5))
@@ -435,28 +444,63 @@ def test_candidate_balls_search_matches_full_supports(monkeypatch):
             pts = rng.integers(0, 3, size=(n, d)).astype(float)
         else:
             pts = rng.normal(size=(n, d))
-        search = _forced(pts, t, 0, monkeypatch)
-        assert search == _forced(pts, t, math.inf, monkeypatch), (n, t, d, i)
+        full = _forced(pts, t, "supports", monkeypatch)
+        search = _forced(pts, t, "search", monkeypatch)
+        assert search[2] == full[2], (n, t, d, i)
+        assert search[0].tobytes() == full[0].tobytes() and search[1].tobytes() == full[1].tobytes()
+        subsets = _forced(pts, t, "subsets", monkeypatch)
+        assert subsets[2] == full[2], (n, t, d, i)
+        assert np.allclose(subsets[0], full[0], rtol=0, atol=1e-9)
+        assert np.allclose(subsets[1], full[1], rtol=1e-9, atol=1e-12)
 
 
-def test_candidate_balls_search_enumerates_few_supports(monkeypatch):
-    walked = []
-    index_chunks = aggregate._index_chunks
+def _count_checked_rows(monkeypatch):
+    checked = []
+    support_balls = aggregate._support_balls
 
-    def counting(*args):
-        for chunk in index_chunks(*args):
-            walked.append(len(chunk))
-            yield chunk
+    def counting(P, m, found=None):
+        checked.append(len(found))
+        return support_balls(P, m, found)
 
-    monkeypatch.setattr(aggregate, "_index_chunks", counting)
-    # the search takes (18, 1, 4), whose 12 615 supports hold 5 distinct balls
+    monkeypatch.setattr(aggregate, "_support_balls", counting)
+    return checked
+
+
+def test_candidate_balls_search_checks_few_supports(monkeypatch):
+    # the search takes (18, 1, 4), whose 12 615 supports hold 5 distinct
+    # balls; each generic node gives the kernel its one support
     pts = random_instance(18, 1, 4, seed=22).points.points
-    searched = candidate_balls(pts, 1)
-    assert 0 < sum(walked) <= 300
-    walked.clear()
+    with monkeypatch.context() as patch:
+        checked = _count_checked_rows(patch)
+        searched = candidate_balls(pts, 1)
+    assert checked == [len(searched)]
     monkeypatch.setattr(aggregate, "_MEB_COST_IN_SUPPORTS", math.inf)
     assert candidate_balls(pts, 1).subsets == searched.subsets
-    assert sum(walked) == sum(math.comb(18, k) for k in range(1, 6))
+
+
+def test_candidate_balls_high_dimension_checks_few_supports(monkeypatch):
+    from mebagg import meb
+
+    # 30 Gaussian points in R^100 put about 20 points on every candidate's
+    # sphere, 2^20 supports among them; one per node keeps the kernel small
+    pts = np.random.default_rng(0).normal(size=(30, 100))
+    checked = _count_checked_rows(monkeypatch)
+    balls = candidate_balls(pts, 1)
+    assert checked == [len(balls)] and len(balls) == len(set(balls.subsets)) > 1
+    for sub, ball in zip(balls.subsets, balls.balls):
+        assert math.isclose(ball.radius, meb(pts[list(sub)]).radius, rel_tol=1e-9)
+
+
+def test_candidate_balls_co_spherical_points_restart_bounded(monkeypatch):
+    # all 20 points of the cross-polytope in R^10 lie on one sphere, so each
+    # search node would hand the kernel 784 625 subsets of them; past the
+    # cap the search restarts with one basis per removable point instead
+    pts = np.vstack([np.eye(10), -np.eye(10)])
+    checked = _count_checked_rows(monkeypatch)
+    balls = candidate_balls(pts, 1)
+    assert 0 < checked[0] <= 21
+    assert balls.subsets == (tuple(range(19)),)
+    assert np.allclose(balls.centers(), 0.0, atol=1e-12) and math.isclose(balls.radii()[0], 1.0)
 
 
 def test_candidate_balls_at_extreme_scales():
