@@ -387,10 +387,13 @@ def geometric_median(
     n, d = pts.shape
     if n == 1:
         return AggregateResult(output=pts[0], rule="geomedian")
+    # Weiszfeld in the extent's power-of-two unit (as ``_distance_matrix``): squares stay in range
+    e = _spread_exp(np.ptp(pts / 2, axis=0)) + 1
+    P = np.ldexp(pts, -e)
     # length tolerances of the extent, once per call: on a data point, near one, settled
-    here_tol, near_tol, step_tol = _length_tol(np.array([1e-12, 1e-5, tol]), pts)
+    here_tol, near_tol, step_tol = _length_tol(np.array([1e-12, 1e-5, tol]), P)
 
-    centered = pts - pts.mean(axis=0)
+    centered = P - P.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
     if svals[0] <= here_tol:
         return AggregateResult(output=pts[0], rule="geomedian")
@@ -400,48 +403,48 @@ def geometric_median(
         axis = vt[0]
         proj = np.sort(centered @ axis)
         mid = 0.5 * (proj[(n - 1) // 2] + proj[n // 2])
-        return AggregateResult(output=pts.mean(axis=0) + mid * axis, rule="geomedian")
+        return AggregateResult(output=np.ldexp(P.mean(axis=0) + mid * axis, e), rule="geomedian")
 
     def vertex_step(vertex: np.ndarray):
         """Subgradient test at a data point; None when the point is optimal,
         otherwise one descent step off it (Vardi-Zhang)."""
-        dist = np.linalg.norm(pts - vertex, axis=1)
+        dist = np.linalg.norm(P - vertex, axis=1)
         here = dist <= here_tol
         mult = int(here.sum())
         rest = ~here
-        resid = ((vertex - pts[rest]) / dist[rest, None]).sum(axis=0)
+        resid = ((vertex - P[rest]) / dist[rest, None]).sum(axis=0)
         rnorm = float(np.linalg.norm(resid))
         if rnorm <= mult + 1e-12:
             return None
         w = 1.0 / dist[rest]
-        target = (pts[rest] * w[:, None]).sum(axis=0) / w.sum()
+        target = (P[rest] * w[:, None]).sum(axis=0) / w.sum()
         lam = min(1.0, mult / rnorm)
         return (1.0 - lam) * target + lam * vertex
 
-    y = pts.mean(axis=0)
+    y = P.mean(axis=0)
     resolved = set()
     for _ in range(max_iter):
-        dist = np.linalg.norm(pts - y, axis=1)
+        dist = np.linalg.norm(P - y, axis=1)
         nearest = int(np.argmin(dist))
         if dist[nearest] <= here_tol:
-            stepped = vertex_step(pts[nearest])
+            stepped = vertex_step(P[nearest])
             if stepped is None:
                 return AggregateResult(output=pts[nearest], rule="geomedian")
             y_new = stepped
         else:
             w = 1.0 / dist
-            y_new = (pts * w[:, None]).sum(axis=0) / w.sum()
+            y_new = (P * w[:, None]).sum(axis=0) / w.sum()
         if np.linalg.norm(y_new - y) <= step_tol:
             # settled; if hugging a data point, resolve the vertex exactly,
             # once: stepping off it again would retrace the same path
             if dist[nearest] <= near_tol and nearest not in resolved:
                 resolved.add(nearest)
-                stepped = vertex_step(pts[nearest])
+                stepped = vertex_step(P[nearest])
                 if stepped is None:
                     return AggregateResult(output=pts[nearest], rule="geomedian")
                 y = stepped
                 continue
-            return AggregateResult(output=y_new, rule="geomedian")
+            return AggregateResult(output=np.ldexp(y_new, e), rule="geomedian")
         y = y_new
     raise NonConvergenceError(
         f"Weiszfeld iteration did not settle within {max_iter} iterations"

@@ -79,13 +79,20 @@ def points_to_json(ps: PointSet) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def points_from_json(text: str) -> PointSet:
+def json_object(text: str, key: str) -> dict:
+    """``text`` parsed as a JSON object that has a ``key`` field; anything
+    else raises ParseError, with the line and column of malformed JSON."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
-    if not isinstance(payload, dict) or "points" not in payload:
-        raise ParseError('JSON input must be an object with a "points" array')
+    if not isinstance(payload, dict) or key not in payload:
+        raise ParseError(f'JSON input must be an object with a "{key}" field')
+    return payload
+
+
+def points_from_json(text: str) -> PointSet:
+    payload = json_object(text, "points")
     labels = payload.get("labels")
     return PointSet(np.asarray(payload["points"], dtype=float),
                     tuple(labels) if labels else None)

@@ -1,8 +1,11 @@
 """Brute-force reference implementations used to cross-check the solvers.
 
-These deliberately avoid the production code paths: the enclosing ball is
-found by exhaustive support enumeration and the min-max value by dense grid
-search, so solver bugs cannot hide behind shared machinery.
+``meb_bruteforce`` (every support set through ``circumball``) and
+``grid_minmax`` (dense grid search) share no code with the solvers, so
+solver bugs cannot hide behind shared machinery. The others reuse
+production kernels: ``candidate_balls_bruteforce`` takes one ``meb`` per
+subset, and ``exhaustive_factor``/``worst_designation`` score y against
+``candidate_balls``.
 """
 
 from __future__ import annotations

@@ -30,9 +30,10 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioSpec":
-        if "kind" not in payload:
-            raise InvalidParamsError('scenario config needs a "kind" field')
-        return cls(kind=payload["kind"], params=dict(payload.get("params", {})))
+        params = payload.get("params", {})
+        if not isinstance(payload.get("kind"), str) or not isinstance(params, dict):
+            raise InvalidParamsError('scenario config needs a "kind" string and a "params" object')
+        return cls(kind=payload["kind"], params=dict(params))
 
 
 @dataclass(frozen=True)
@@ -358,7 +359,8 @@ def random_instance(
     labels = (HONEST,) * (n - t) + (BYZANTINE,) * t
     spec = ScenarioSpec(
         "random",
-        {"n": n, "t": t, "d": d, "spread": spread, "seed": seed, "strategy": strategy},
+        {"n": n, "t": t, "d": d, "spread": spread, "seed": seed, "strategy": strategy,
+         "rule": rule},
     )
     return ScenarioInstance(spec=spec, points=PointSet(pts, labels))
 

@@ -166,6 +166,10 @@ def test_mda_and_medoid_hold_when_the_extent_passes_the_float_range():
     unit = pts / 1e308
     assert medoid(pts).chosen_index == medoid(unit).chosen_index == 2
     assert mda(pts, 2).chosen_subset == mda(unit, 2).chosen_subset == (2, 3)
+    # geomedian's Weiszfeld steps square lengths as long as the extent
+    wide = np.array([(-1e308, 0.0), (1e308, 0.0), (0.0, 1e308), (0.1e308, 0.2e308)])
+    assert np.allclose(geometric_median(wide).output,
+                       geometric_median(wide / 1e308).output * 1e308, rtol=1e-9, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from mebagg import ParseError, PointSet
-from mebagg.cli import main
+from mebagg.cli import SCENARIOS, main
 from mebagg.io import (
     load_points,
     points_from_csv,
@@ -281,6 +281,53 @@ def test_scenario_config_round_trip(runner, tmp_path):
     assert report["detail"]["empty"] is True
 
 
+# every kind at arguments other than the defaults, random also at another --seed
+ROUND_TRIPS = [
+    ["scenario", "lower-bound", "--d", "3", "-t", "4"],
+    ["scenario", "medoid-ce", "-t", "6", "--x", "7.5"],
+    ["scenario", "gm-impossibility", "-t", "6", "--x", "20"],
+    ["scenario", "gm-convex", "-t", "4"],
+    ["scenario", "tangent-balls", "--k", "3"],
+    ["--seed", "3", "scenario", "random", "--n", "7", "-t", "2", "--d", "3", "--spread", "2.5",
+     "--strategy", "cluster"],
+    ["--seed", "5", "scenario", "random", "--strategy", "worst-case", "--attack-rule", "mda"],
+]
+
+
+def test_round_trips_cover_every_scenario_kind():
+    assert {argv[argv.index("scenario") + 1] for argv in ROUND_TRIPS} == set(SCENARIOS)
+
+
+@pytest.mark.parametrize("argv", ROUND_TRIPS, ids=[
+    "lower-bound", "medoid-ce", "gm-impossibility", "gm-convex", "tangent-balls", "random-cluster",
+    "random-worst-case",
+])
+def test_scenario_config_reproduces_the_emitted_scenario(runner, tmp_path, argv):
+    first = runner.invoke(main, [*argv, "--emit", str(tmp_path / "a")])
+    assert first.exit_code == 0, first.output
+    second = runner.invoke(
+        main, ["scenario", "--config", str(tmp_path / "a" / "scenario.json"), "--emit", str(tmp_path / "b")]
+    )
+    assert second.exit_code == 0, second.output
+    assert json.loads(second.output)["params"] == json.loads(first.output)["params"]
+    written = sorted(f.name for f in (tmp_path / "a").iterdir())
+    assert written == sorted(f.name for f in (tmp_path / "b").iterdir())
+    for name in written:
+        assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text(), name
+
+
+@pytest.mark.parametrize(
+    "payload", ["{not json", "5", '{"kind": "lower-bound", "params": {"d": "three"}}'],
+    ids=["invalid-json", "not-an-object", "uncastable-param"],
+)
+def test_scenario_malformed_config_is_an_error(runner, tmp_path, payload):
+    path = tmp_path / "scenario.json"
+    path.write_text(payload)
+    result = runner.invoke(main, ["scenario", "--config", str(path)])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error: ")
+
+
 def test_scenario_gm_convex_verify(runner):
     result = runner.invoke(main, ["scenario", "gm-convex", "-t", "50", "--verify"])
     assert result.exit_code == 0, result.output
@@ -333,6 +380,19 @@ def test_bench_json_determinism(runner):
         stripped = re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": 0', result.output)
         outs.append(stripped)
     assert outs[0] == outs[1]
+
+
+def test_bench_factor_holds_at_any_spread(runner):
+    factors = []
+    for spread in ("1e-200", "1", "1e200"):
+        result = runner.invoke(
+            main, ["bench", "--rules", "medoid,mda,geomedian", "--n-list", "5", "--t-list", "1",
+                   "--d-list", "2", "--seeds", "3", "--spread", spread],
+        )
+        assert result.exit_code == 0, result.output
+        factors.append([row["max_factor"] for row in json.loads(result.output)["rows"]])
+    assert np.allclose(factors[0], factors[1], rtol=1e-9, atol=0.0)
+    assert np.allclose(factors[2], factors[1], rtol=1e-9, atol=0.0)
 
 
 def test_out_flag_writes_file(runner, tmp_path):
