@@ -16,9 +16,10 @@ import numpy as np
 
 from .errors import (
     ConflictingZeroRadiusError,
-    EmptyInputError,
+    DimensionMismatchError,
     InvalidFaultBudgetError,
     InvalidParamsError,
+    MebaggError,
     NonConvergenceError,
     ResilienceViolationError,
     TooManySubsetsError,
@@ -65,48 +66,57 @@ class AggregateResult:
         object.__setattr__(self, "output", out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateBalls:
-    """The distinct MEBs of the size-(n-t) subsets, one witness subset each.
+    """Candidate balls as read-only arrays: ``center_array`` (k >= 1 finite
+    rows of d), ``radius_array`` (k, finite, >= 0) and, from ``candidate_balls``,
+    ``witness_array`` (k x (n-t)): ball i is the MEB of the size-(n-t) subset
+    in row i, the lexicographically smallest with that MEB, and the rows are
+    sorted. ``balls`` and ``subsets`` (None without witnesses) are views
+    built on first use."""
 
-    ``subsets[i]`` is the lexicographically smallest size-(n-t) subset whose
-    MEB is ``balls[i]``, and the balls are ordered by witness. ``subsets`` is
-    None when the balls were supplied directly rather than derived from a
-    point set.
-    """
+    center_array: np.ndarray
+    radius_array: np.ndarray
+    witness_array: np.ndarray | None = None
 
-    balls: tuple[Ball, ...]
-    subsets: tuple[tuple[int, ...], ...] | None = None
-    n: int | None = None
-    t: int | None = None
+    def __post_init__(self):
+        # copied, so that freezing them leaves the caller's arrays writable
+        C, R = as_points(self.center_array).copy(), np.array(self.radius_array, dtype=float)
+        if (bad := ~np.isfinite(R) | (R < 0)).any():
+            raise MebaggError(f"ball radius must be finite and >= 0, got {R[bad][0]}")
+        if R.shape != C.shape[:1]:
+            raise DimensionMismatchError(f"{C.shape[0]} centers but radii of shape {R.shape}")
+        W = None if self.witness_array is None else np.array(self.witness_array, dtype=np.intp)
+        for name, a in (("center_array", C), ("radius_array", R), ("witness_array", W)):
+            if a is not None:
+                a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @classmethod
-    def from_balls(cls, balls) -> "CandidateBalls":
-        """Wrap an iterable of balls; a CandidateBalls is returned unchanged."""
+    def from_balls(cls, balls, subsets=None) -> "CandidateBalls":
+        """Stack ``Ball`` objects and any witness subsets; a CandidateBalls passes through."""
         if isinstance(balls, CandidateBalls):
             return balls
-        return cls(balls=tuple(balls))
+        balls = tuple(balls)
+        return cls([b.center for b in balls], [b.radius for b in balls], subsets)
 
     def __len__(self) -> int:
-        return len(self.balls)
-
-    def __iter__(self):
-        return iter(self.balls)
+        return self.radius_array.size
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        C = np.array([b.center for b in self.balls])
-        R = np.array([b.radius for b in self.balls])
-        C.setflags(write=False)
-        R.setflags(write=False)
-        return C, R
+    def balls(self) -> tuple[Ball, ...]:
+        return tuple(map(Ball, self.center_array, self.radius_array))
+
+    @cached_property
+    def subsets(self) -> tuple[tuple[int, ...], ...] | None:
+        return None if self.witness_array is None else tuple(map(tuple, self.witness_array.tolist()))
 
     @cached_property
     def _unit(self) -> tuple[np.ndarray, np.ndarray]:
         """Centers about the first one and radii, in the power-of-two unit
         just above their spread: the frame, free of offset and scale, in
         which zero radii and duplicate balls are judged."""
-        C, R = self._arrays
+        C, R = self.center_array, self.radius_array
         local = C - C[0]
         e = max(_spread_exp(local), _spread_exp(R))
         return np.ldexp(local, -e), np.ldexp(R, -e)
@@ -117,10 +127,10 @@ class CandidateBalls:
         return self._unit[1] <= 1e-12
 
     def centers(self) -> np.ndarray:
-        return self._arrays[0]
+        return self.center_array
 
     def radii(self) -> np.ndarray:
-        return self._arrays[1]
+        return self.radius_array
 
     def ratios(self, y) -> np.ndarray:
         """||y - c|| / r for every ball: at most 1 inside, above 1 outside.
@@ -129,7 +139,7 @@ class CandidateBalls:
         ``geometry._length_tol(1e-9, centers)`` of its center, and infinity
         otherwise, so the verdict holds at any offset and scale.
         """
-        (C, R), zero = self._arrays, self._zero
+        C, R, zero = self.center_array, self.radius_array, self._zero
         dist = _row_norms(C - as_vector(y, C.shape[1]))
         if not zero.any():
             return dist / R
@@ -287,10 +297,7 @@ def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> Candid
     keep = order[np.sort(first)]
     C, W = C[keep], W[keep]
     realized = np.linalg.norm(P[W] - C[:, None, :], axis=2).max(axis=1)
-    C, realized = np.ldexp(C, e) + origin, np.ldexp(realized, e)
-    balls = tuple(Ball(c, r) for c, r in zip(C, realized))
-    witnesses = tuple(tuple(int(i) for i in w) for w in W)
-    return CandidateBalls(balls=balls, subsets=witnesses, n=n, t=t)
+    return CandidateBalls(np.ldexp(C, e) + origin, np.ldexp(realized, e), W)
 
 
 # ---------------------------------------------------------------------------
@@ -468,18 +475,12 @@ def solve_minmax(balls) -> tuple[np.ndarray, float]:
     infinite when zero-radius centers disagree.
     """
     cb = CandidateBalls.from_balls(balls)
-    if not len(cb):
-        raise EmptyInputError("no candidate balls to solve over")
-    C, R, zero = cb.centers(), cb.radii(), cb._zero
-    if zero.any():
-        y = C[zero][0]
-        return y, float(cb.ratios(y).max()) - 1.0
-    # overlapping subsets often share one MEB; collapse the duplicates
-    _, uniq_idx = _unique_rows(_ball_keys(*cb._unit))
-    if uniq_idx.size < C.shape[0]:
-        C = C[np.sort(uniq_idx)]
-        R = R[np.sort(uniq_idx)]
-    y, _, _ = _one_center(C, R)
+    if cb._zero.any():
+        y = cb.centers()[cb._zero][0]
+    else:
+        # balls given through from_balls may repeat; collapse the duplicates
+        keep = np.sort(_unique_rows(_ball_keys(*cb._unit))[1])
+        y = _one_center(cb.centers()[keep], cb.radii()[keep])[0]
     return y, float(cb.ratios(y).max()) - 1.0
 
 
@@ -510,9 +511,8 @@ def minmax_meb(
             f"minmax rule needs n > 2t for its guarantee (n={n}, t={t}); "
             "pass allow_low_resilience=True to compute anyway"
         )
-    if balls is None:
-        balls = candidate_balls(pts, t, max_subsets=max_subsets)
-    y, value = solve_minmax(balls)
+    cb = candidate_balls(pts, t, max_subsets=max_subsets) if balls is None else balls
+    y, value = solve_minmax(cb)
     if value == math.inf:
         raise ConflictingZeroRadiusError(
             "multiple zero-radius candidates with distinct centers; "

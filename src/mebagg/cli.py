@@ -296,8 +296,8 @@ def scenario(ctx, kind, config_path, emit_dir, verify, **options):
                     }
             if balls_obj is not None:
                 rows = [
-                    ",".join(mio.format_vector(b.center) + [mio.format_float(b.radius)])
-                    for b in balls_obj
+                    ",".join(mio.format_vector(c) + [mio.format_float(r)])
+                    for c, r in zip(balls_obj.centers(), balls_obj.radii())
                 ]
                 (out / "balls.csv").write_text("\n".join(rows) + "\n")
             (out / "scenario.json").write_text(mio.report_json(spec_payload))
@@ -348,9 +348,10 @@ def bench(ctx, rules, n_list, t_list, d_list, seeds, spread, strategy):
     empirical worst factor to its proven bound."""
     try:
         rule_names = [r.strip() for r in rules.split(",") if r.strip()]
-        ns = [int(v) for v in n_list.split(",")]
-        ts = [int(v) for v in t_list.split(",")]
-        ds = [int(v) for v in d_list.split(",")]
+        try:
+            ns, ts, ds = ([int(v) for v in text.split(",")] for text in (n_list, t_list, d_list))
+        except ValueError as exc:
+            raise ParseError(f"bad --n-list, --t-list or --d-list: {exc}")
         for r in rule_names:
             if r not in RULES:
                 raise ParseError(f"unknown rule {r!r}")

@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .aggregate import CandidateBalls, candidate_balls
-from .errors import InstanceTooLargeError, InvalidFaultBudgetError, MebaggError
+from .aggregate import CandidateBalls, _check_fault_budget, candidate_balls
+from .errors import InstanceTooLargeError, MebaggError
 from .geometry import Ball, _length_tol, meb
 from .pointset import as_points
 
@@ -92,16 +92,14 @@ def candidate_balls_bruteforce(points, t: int) -> CandidateBalls:
     """
     pts = as_points(points)
     n = pts.shape[0]
-    if t < 0 or t >= n:
-        raise InvalidFaultBudgetError(f"need 0 <= t < n, got t={t}, n={n}")
+    _check_fault_budget(n, t)
     if math.comb(n, t) > BRUTEFORCE_MAX_SUBSETS:
         raise InstanceTooLargeError(
             f"brute-force candidate balls capped at {BRUTEFORCE_MAX_SUBSETS} subsets; "
             f"got C({n},{n - t}) = {math.comb(n, t)}"
         )
     subsets = tuple(itertools.combinations(range(n), n - t))
-    balls = tuple(meb(pts[list(s)]) for s in subsets)
-    return CandidateBalls(balls=balls, subsets=subsets, n=n, t=t)
+    return CandidateBalls.from_balls((meb(pts[list(s)]) for s in subsets), subsets)
 
 
 def grid_minmax(
@@ -171,7 +169,6 @@ def worst_designation(
     attains it (None when the balls carry no subsets)."""
     if balls is None:
         balls = candidate_balls(points, t)
-    ratios = balls.ratios(y)
+    ratios, W = balls.ratios(y), balls.witness_array
     idx = int(np.argmax(ratios))
-    subset = balls.subsets[idx] if balls.subsets is not None else None
-    return float(ratios[idx]), subset
+    return float(ratios[idx]), None if W is None else tuple(W[idx].tolist())

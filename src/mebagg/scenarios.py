@@ -14,7 +14,7 @@ import numpy as np
 
 from .aggregate import AggregateResult, CandidateBalls, RULES
 from .errors import InvalidParamsError, MebaggError
-from .geometry import Ball, meb, sample_in_ball
+from .geometry import Ball, _row_norms, meb, sample_in_ball
 from .pointset import BYZANTINE, HONEST, PointSet
 
 ATTACK_STARTS = 200
@@ -371,7 +371,7 @@ def _attack_factor(rule_fn, honest: np.ndarray, byz: np.ndarray, honest_ball: Ba
         result: AggregateResult = rule_fn(pts, byz.shape[0])
     except MebaggError:
         return -math.inf
-    dist = float(np.linalg.norm(result.output - honest_ball.center))
+    dist = float(_row_norms(result.output - honest_ball.center))
     return dist / max(honest_ball.radius, 1e-12)
 
 
@@ -394,14 +394,14 @@ def _attack_search(
         # colluding cluster can win selection-style rules while sitting
         # outside the ball
         if rng.random() < 0.5:
-            support = honest[int(np.argmax(np.linalg.norm(honest - ball.center, axis=1)))]
+            support = honest[int(np.argmax(_row_norms(honest - ball.center)))]
             direction = support - ball.center
         else:
             direction = rng.normal(size=d)
-        norm = np.linalg.norm(direction)
+        norm = _row_norms(direction)
         direction = direction / norm if norm > 0 else np.eye(d)[0]
         anchor = ball.center + direction * ball.radius * (1.0 + rng.uniform(0.02, 0.9))
-        return anchor + rng.normal(size=(t, d)) * 1e-3 * max(ball.radius, 1e-9)
+        return anchor + rng.normal(size=(t, d)) * 1e-3 * max(ball.radius, 1e-9 * spread)
 
     best_byz = rim_cluster()
     best = _attack_factor(rule_fn, honest, best_byz, ball)

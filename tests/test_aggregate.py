@@ -9,7 +9,9 @@ from mebagg import (
     CandidateBalls,
     ConflictingZeroRadiusError,
     DimensionMismatchError,
+    EmptyInputError,
     InvalidFaultBudgetError,
+    MebaggError,
     PointSet,
     ResilienceViolationError,
     TooManySubsetsError,
@@ -564,6 +566,33 @@ def test_candidate_balls_errors():
         candidate_balls([(0.0,), (1.0,)], 2)
     with pytest.raises(TooManySubsetsError):
         candidate_balls(np.zeros((40, 1)), 20, max_subsets=100)
+    # the arrays are checked once, radii as Ball checks one radius
+    for radius in (-1.0, math.inf, math.nan):
+        with pytest.raises(MebaggError, match="radius must be finite"):
+            CandidateBalls(np.zeros((2, 2)), [1.0, radius])
+    with pytest.raises(MebaggError, match="finite"):
+        CandidateBalls([[0.0, math.inf]], [1.0])
+    with pytest.raises(DimensionMismatchError):
+        CandidateBalls(np.zeros((2, 2)), [1.0])
+    with pytest.raises(EmptyInputError):
+        solve_minmax([])
+
+
+def test_candidate_ball_path_builds_no_ball(monkeypatch):
+    # candidate balls stay arrays from the kernel through the min-max rule
+    # and the oracles; Ball objects are views, built only when asked for
+    cases = [(random_instance(n, t, d, seed=n).points.points, t)
+             for n, t, d in [(7, 2, 2), (12, 4, 3), (18, 1, 4)]]
+    cases.append((np.array([[1000.0, 5.0]] * 3 + [[1001.0, 5.0], [1000.0, 7.0]]), 2))
+    built, post_init = [], Ball.__post_init__
+    monkeypatch.setattr(Ball, "__post_init__", lambda ball: built.append(ball) or post_init(ball))
+    for pts, t in cases:
+        balls = candidate_balls(pts, t)
+        y = minmax_meb(pts, t, balls=balls).output
+        worst_designation(pts, t, y, balls=balls)
+        exhaustive_factor(pts, t, y=y, balls=balls)
+    assert built == []
+    assert len(balls.balls) == len(balls) and built
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,13 @@ def test_scenario_gm_convex_verify(runner):
     assert json.loads(result.output)["detail"]["hull_distance"] > 0.01
 
 
+@pytest.mark.parametrize("option", ["--n-list", "--t-list", "--d-list"])
+def test_bench_malformed_list_is_an_error(runner, option):
+    result = runner.invoke(main, ["bench", option, "5,x"])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error: ")
+
+
 def test_bench_t0_within_bounds(runner):
     result = runner.invoke(
         main,

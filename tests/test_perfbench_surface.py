@@ -1,10 +1,12 @@
-"""The benchmark under perfbench/ calls mebagg by name; these checks fail
-when a library change would break it."""
+"""The benchmark under perfbench/ calls mebagg by name and reads its
+results; these checks fail when a library change would break it."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -28,3 +30,17 @@ def test_every_traced_layer_resolves():
 def test_workloads_import():
     workloads = _load("workloads")
     assert set(workloads.WORKLOADS) == {"sweep", "worstcase", "labeled", "cli"}
+
+
+@pytest.mark.parametrize("name", ["sweep", "worstcase"])
+def test_candidate_ball_workloads_run_traced(name, tmp_path):
+    # the ops read CandidateBalls' arrays, and the deferred ``distinct``
+    # annotation evaluates once each op is recorded
+    spans, workloads = _load("spans"), _load("workloads")
+    workload, tracer = workloads.WORKLOADS[name], spans.Tracer()
+    lay = spans.Layers(tracer)
+    for op_id, inp in enumerate(workload.setup(7, tmp_path)[:4]):
+        assert workload.op(inp, lay)
+        tracer.record_op(op_id, 0.0, 0.0, None)
+    distinct = [s["distinct"] for s in tracer.spans if s["name"] == "aggregate.candidate_balls"]
+    assert len(distinct) == 4 and all(isinstance(k, int) and k > 0 for k in distinct)

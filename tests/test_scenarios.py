@@ -245,6 +245,16 @@ def test_attack_search_beats_honest_ball_on_medoid():
     assert wins >= len(seeds) / 2
 
 
+@pytest.mark.parametrize("rule", ["medoid", "mda", "geomedian"])
+def test_attack_search_stays_at_the_spread(rule):
+    # lengths are taken in the spread's unit, so no square overflows, and the
+    # rim cluster's jitter scales with the spread
+    for spread in (1e-200, 1e200):
+        inst = random_instance(6, 1, 2, spread, seed=0, strategy="worst-case", rule=rule)
+        byz = inst.points.points[5:]
+        assert (np.linalg.norm(byz / spread, axis=1) < 10).all()
+
+
 def test_generated_instances_satisfy_pointset_invariants():
     for inst in (
         lower_bound_construction(3, 3),
