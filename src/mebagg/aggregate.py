@@ -151,9 +151,17 @@ def _distance_matrix(pts: np.ndarray) -> np.ndarray:
     """Pairwise distances in a power-of-two unit of the points' extent: a
     unit that rounds nothing keeps every comparison between them exact at
     any scale, where raw squares would overflow and tie at inf; the extent
-    is taken on the halved points, so it stays finite at any range."""
+    is taken on the halved points, so it stays finite at any range. The
+    differences are taken in row blocks of about ``_CHUNK_ELEMS`` elements
+    (one row at least), so beside the n x n result the working memory is of
+    the order of the input, not n times it."""
     pts = np.ldexp(pts, -_spread_exp(np.ptp(pts / 2, axis=0)) - 1)
-    return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    n, d = pts.shape
+    rows = max(1, _CHUNK_ELEMS // (n * d))
+    out = np.empty((n, n))
+    for i in range(0, n, rows):
+        out[i : i + rows] = np.linalg.norm(pts[i : i + rows, None, :] - pts[None, :, :], axis=2)
+    return out
 
 
 def _check_fault_budget(n: int, t: int) -> None:

@@ -29,6 +29,8 @@ from .scenarios import (
 )
 from .validity import (
     Certificate,
+    _check_factor,
+    _tangent_minmax_value,
     check_bias_bound,
     check_box,
     check_c_meb,
@@ -128,6 +130,8 @@ def certify(ctx, input_path, y_text, faults, c_bound, ignore_labels):
     try:
         ps = mio.load_points(input_path)
         y = _parse_vector(y_text)
+        if c_bound is not None:
+            _check_factor(c_bound)
         start = time.perf_counter()
         if ps.labels is not None and not ignore_labels:
             honest = ps.honest_points()
@@ -193,9 +197,8 @@ SCENARIOS = {
 def _verify_scenario(kind, inst, balls_obj, params, tol, max_subsets):
     """Run the construction's defining assertion; returns (pass, detail)."""
     if kind == "tangent-balls":
-        k = params["k"]
         _, value = solve_minmax(balls_obj)
-        expected = (k - 1.0) / (k + 1.0 + math.sqrt(2.0 * (k + 1.0) * k))
+        expected = _tangent_minmax_value(params["k"])
         return abs(value - expected) <= 1e-4, {
             "minmax_value": value,
             "expected_value": expected,

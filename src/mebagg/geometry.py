@@ -267,10 +267,13 @@ def meb(points) -> Ball:
 
 
 def diameter(points) -> float:
-    """Largest pairwise Euclidean distance, by ``_row_norms``; 0 for a singleton."""
+    """Largest pairwise Euclidean distance, by ``_row_norms``; 0 for a
+    singleton. The differences are taken in row blocks of about
+    ``_CHUNK_ELEMS`` elements (one row at least), so the working memory is
+    of the order of the input, not n times it."""
     pts = as_points(points)
     n, d = pts.shape
-    chunk = max(1, 1_000_000 // n)  # _row_norms holds three block-sized arrays
+    chunk = max(1, _CHUNK_ELEMS // (n * d))
     blocks = (pts[i : i + chunk, None, :] - pts[None, :, :] for i in range(0, n, chunk))
     return max(float(_row_norms(diff.reshape(-1, d)).max()) for diff in blocks)
 

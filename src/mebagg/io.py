@@ -94,8 +94,15 @@ def json_object(text: str, key: str) -> dict:
 def points_from_json(text: str) -> PointSet:
     payload = json_object(text, "points")
     labels = payload.get("labels")
-    return PointSet(np.asarray(payload["points"], dtype=float),
-                    tuple(labels) if labels else None)
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+    ):
+        raise ParseError('"labels" must be a list of strings')
+    try:
+        pts = np.asarray(payload["points"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f'"points" must be rows of numbers of one length: {exc}')
+    return PointSet(pts, tuple(labels) if labels else None)
 
 
 def load_points(path: str | Path) -> PointSet:

@@ -25,6 +25,7 @@ BRUTEFORCE_MAX_D = 4
 BRUTEFORCE_MAX_SUBSETS = 100_000
 GRID_MAX_D = 3
 GRID_MAX_CELLS = 100_000_000
+_GRID_CHUNK = 200_000  # grid points scored per block
 
 
 def circumball(points) -> Ball:
@@ -107,7 +108,6 @@ def grid_minmax(
     resolution: int = 200,
     *,
     zooms: int = 12,
-    chunk: int = 200_000,
 ) -> tuple[np.ndarray, float]:
     """Dense grid minimization of max((||y-c||-r)/r) with local zoom passes.
 
@@ -136,8 +136,8 @@ def grid_minmax(
         axes = [np.linspace(lo[j], hi[j], resolution) for j in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         grid = np.stack([m.ravel() for m in mesh], axis=1)
-        for i in range(0, grid.shape[0], chunk):
-            block = grid[i : i + chunk]
+        for i in range(0, grid.shape[0], _GRID_CHUNK):
+            block = grid[i : i + _GRID_CHUNK]
             dist = np.linalg.norm(block[:, None, :] - C[None, :, :], axis=2)
             vals = ((dist - R) / R).max(axis=1)
             j = int(np.argmin(vals))

@@ -58,55 +58,38 @@ def lower_bound_geometry(dim: int) -> dict:
     """Ball layout for the intersection-emptiness construction in ``dim``
     dimensions: dim unit balls meeting in a single point plus one large ball
     pinned to the pairwise meeting points, chosen to exclude the common
-    point."""
+    point. Row i of ``unit_centers``, ``meet_points`` and ``antipodes``
+    belongs to unit ball i."""
     D = dim
     if D < 2:
         raise InvalidParamsError("construction needs dimension >= 2")
     q = np.full(D, 1.0 / math.sqrt(D * (D - 1)))
-    unit_centers = [math.sqrt(D / (D - 1)) * np.eye(D)[i] for i in range(D)]
-    meet = [
-        ((math.sqrt(D) + 1) / (D - 1) ** 1.5) * (np.ones(D) - np.eye(D)[i])
-        for i in range(D)
-    ]
-    antipodes = [2.0 * unit_centers[i] - q for i in range(D)]
+    unit_centers = math.sqrt(D / (D - 1)) * np.eye(D)
+    meet = ((math.sqrt(D) + 1) / (D - 1) ** 1.5) * (1.0 - np.eye(D))
+    beta_meet = float(meet[0] @ (np.ones(D) / math.sqrt(D)))  # height along the diagonal
+    rho_sq = float(meet[0] @ meet[0]) - beta_meet**2  # squared radius of the meeting ring
 
-    axis = np.ones(D) / math.sqrt(D)
-    beta_meet = float(meet[0] @ axis)
-    rho_sq = float(meet[0] @ meet[0]) - beta_meet**2
-
-    def gap(yval: float) -> float:
-        beta_c = yval * math.sqrt(D)
-        radius = math.sqrt((beta_c - beta_meet) ** 2 + rho_sq)
-        return beta_meet - (beta_c - radius)
-
-    # shrink the big ball's bulge past the meeting hyperplane below 1/(4D),
-    # comfortably inside the 1/(2D) margin that keeps q outside
-    target = 1.0 / (4 * D)
-    y_lo = beta_meet / math.sqrt(D) + 0.1
-    y_hi = y_lo
-    while gap(y_hi) > target:
-        y_hi *= 2.0
-    for _ in range(200):
-        y_mid = 0.5 * (y_lo + y_hi)
-        if gap(y_mid) > target:
-            y_lo = y_mid
-        else:
-            y_hi = y_mid
-    y_val = y_hi
+    # the big ball, centered on the diagonal at height beta_c, bulges past the
+    # meeting hyperplane by sqrt(u^2 + rho^2) - u, u = beta_c - beta_meet; that
+    # falls to tau = 1/(4D), comfortably inside the 1/(2D) margin that keeps q
+    # outside, at u = (rho^2 - tau^2) / (2 tau). The center's coordinate keeps
+    # the floor beta_meet/sqrt(D) + 0.1, which is the larger from D = 12 on.
+    tau = 1.0 / (4 * D)
+    u = (rho_sq - tau**2) / (2 * tau)
+    y_val = max(beta_meet / math.sqrt(D) + 0.1, (beta_meet + u) / math.sqrt(D))
     beta_c = y_val * math.sqrt(D)
     big_radius = math.sqrt((beta_c - beta_meet) ** 2 + rho_sq)
-    far = (y_val + big_radius / math.sqrt(D)) * np.ones(D)
     big_center = y_val * np.ones(D)
     assert np.linalg.norm(big_center - q) > big_radius  # q stays excluded
     return {
         "q": q,
         "unit_centers": unit_centers,
         "meet_points": meet,
-        "antipodes": antipodes,
+        "antipodes": 2.0 * unit_centers - q,
         "big_center": big_center,
         "big_radius": big_radius,
-        "far_point": far,
-        "gap": gap(y_val),
+        "far_point": (y_val + big_radius / math.sqrt(D)) * np.ones(D),
+        "gap": beta_meet - (beta_c - big_radius),
     }
 
 
@@ -130,25 +113,18 @@ def lower_bound_construction(d: int, t: int) -> ScenarioInstance:
     mult = max(1, t - dim_eff)
     geo = lower_bound_geometry(dim_eff)
 
-    rows: list[np.ndarray] = []
-    rows.extend([geo["q"]] * mult)
-    for i in range(dim_eff):
-        rows.extend([geo["meet_points"][i]] * mult)
-    rows.extend(geo["antipodes"])
-    rows.append(geo["far_point"])
-    pts = np.array(rows)
-    if dim_eff < d:
-        pts = np.hstack([pts, np.zeros((pts.shape[0], d - dim_eff))])
-
     def embed(v: np.ndarray) -> np.ndarray:
-        return np.concatenate([v, np.zeros(d - dim_eff)]) if dim_eff < d else v
+        """v, or each row of v, padded with zeros from R^dim_eff to R^d."""
+        return np.concatenate([v, np.zeros(v.shape[:-1] + (d - dim_eff,))], axis=-1)
 
-    balls = {
-        f"unit_{i}": Ball(embed(geo["unit_centers"][i]), 1.0) for i in range(dim_eff)
-    }
+    # q and each meeting point mult times, then the antipodes and the far point
+    pts = embed(np.vstack([
+        np.repeat(np.vstack([geo["q"], geo["meet_points"]]), mult, axis=0),
+        geo["antipodes"],
+        geo["far_point"],
+    ]))
+    balls = {f"unit_{i}": Ball(c, 1.0) for i, c in enumerate(embed(geo["unit_centers"]))}
     balls["big"] = Ball(embed(geo["big_center"]), geo["big_radius"])
-    n = pts.shape[0]
-    certified = t >= dim_eff + 1
     spec = ScenarioSpec("lower-bound", {"d": d, "t": t})
     return ScenarioInstance(
         spec=spec,
@@ -157,10 +133,10 @@ def lower_bound_construction(d: int, t: int) -> ScenarioInstance:
         reference={
             "dim_eff": dim_eff,
             "multiplicity": mult,
-            "n": n,
+            "n": pts.shape[0],
             "q": embed(geo["q"]),
             "gap": geo["gap"],
-            "emptiness_certified": certified,
+            "emptiness_certified": t >= dim_eff + 1,
         },
     )
 
@@ -169,32 +145,28 @@ def lower_bound_construction(d: int, t: int) -> ScenarioInstance:
 # impossibility instances for specific rules
 
 
-def _cluster_rows(spec: list[tuple[tuple[float, float], int]]) -> np.ndarray:
-    rows = []
-    for loc, count in spec:
-        rows.extend([loc] * count)
-    return np.array(rows, dtype=float)
+def _clusters(layout) -> tuple[np.ndarray, dict[str, tuple[int, ...]]]:
+    """The points of ``layout``, (name, location, count) triples in order,
+    and the index tuple of each named cluster."""
+    rows: list = []
+    index = {}
+    for name, loc, count in layout:
+        index[name] = tuple(range(len(rows), len(rows) + count))
+        rows += [loc] * count
+    return np.array(rows, dtype=float), index
 
 
-def _three_ball_designations(sizes: dict[str, int]) -> dict[str, tuple[int, ...]]:
-    order = ["A", "D", "B", "C", "E", "F"]
-    offsets = {}
-    start = 0
-    for name in order:
-        offsets[name] = range(start, start + sizes[name])
-        start += sizes[name]
-
-    def span(*names: str) -> tuple[int, ...]:
-        idx: list[int] = []
-        for nm in names:
-            idx.extend(offsets[nm])
-        return tuple(idx)
-
-    return {
-        "ABE": span("A", "B", "E"),
-        "ECD": span("E", "C", "D"),
-        "BCF": span("B", "C", "F"),
-    }
+def _street_scene(outer: int, top: int, middle: int, x: float):
+    """Six clusters on a street: A = (0,0) and D = (4,0) with ``outer``
+    points each, B = (1,1) and C = (3,1) with ``top`` each, E = (2,0) with
+    ``middle`` and one stray point F = (2,x). Returns the points, the honest
+    designations ABE, ECD and BCF, and their enclosing balls."""
+    pts, at = _clusters([
+        ("A", (0.0, 0.0), outer), ("D", (4.0, 0.0), outer), ("B", (1.0, 1.0), top),
+        ("C", (3.0, 1.0), top), ("E", (2.0, 0.0), middle), ("F", (2.0, x), 1),
+    ])
+    designations = {name: tuple(i for c in name for i in at[c]) for name in ("ABE", "ECD", "BCF")}
+    return pts, designations, {name: meb(pts[list(idx)]) for name, idx in designations.items()}
 
 
 def medoid_counterexample(t: int, x: float) -> ScenarioInstance:
@@ -209,19 +181,7 @@ def medoid_counterexample(t: int, x: float) -> ScenarioInstance:
     """
     if t < 4 or t % 2 != 0:
         raise InvalidParamsError(f"t must be an even integer >= 4, got {t}")
-    sizes = {"A": t // 2 - 1, "D": t // 2 - 1, "B": t // 2, "C": t // 2, "E": 2, "F": 1}
-    pts = _cluster_rows(
-        [
-            ((0.0, 0.0), sizes["A"]),
-            ((4.0, 0.0), sizes["D"]),
-            ((1.0, 1.0), sizes["B"]),
-            ((3.0, 1.0), sizes["C"]),
-            ((2.0, 0.0), sizes["E"]),
-            ((2.0, x), sizes["F"]),
-        ]
-    )
-    designations = _three_ball_designations(sizes)
-    balls = {name: meb(pts[list(idx)]) for name, idx in designations.items()}
+    pts, designations, balls = _street_scene(t // 2 - 1, t // 2, 2, x)
     spec = ScenarioSpec("medoid-ce", {"t": t, "x": x})
     return ScenarioInstance(
         spec=spec,
@@ -238,19 +198,7 @@ def gm_impossibility_instance(t: int, x: float = 10.0) -> ScenarioInstance:
     nearest designation ball center."""
     if t < 5:
         raise InvalidParamsError(f"t must be >= 5, got {t}")
-    sizes = {"A": 1, "D": 1, "B": t - 2, "C": t - 2, "E": t - 2, "F": 1}
-    pts = _cluster_rows(
-        [
-            ((0.0, 0.0), sizes["A"]),
-            ((4.0, 0.0), sizes["D"]),
-            ((1.0, 1.0), sizes["B"]),
-            ((3.0, 1.0), sizes["C"]),
-            ((2.0, 0.0), sizes["E"]),
-            ((2.0, x), sizes["F"]),
-        ]
-    )
-    designations = _three_ball_designations(sizes)
-    balls = {name: meb(pts[list(idx)]) for name, idx in designations.items()}
+    pts, designations, balls = _street_scene(1, t - 2, t - 2, x)
     balance = np.array([2.0, 1.0 - 1.0 / math.sqrt(3.0)])
     spec = ScenarioSpec("gm-impossibility", {"t": t, "x": x})
     return ScenarioInstance(
@@ -272,19 +220,14 @@ def gm_convex_violation_instance(t: int) -> ScenarioInstance:
     median sits strictly inside the triangle."""
     if t < 2:
         raise InvalidParamsError(f"t must be >= 2, got {t}")
-    pts = _cluster_rows([((0.0, 0.0), t + 1), ((1.0, 0.0), t), ((0.0, 1.0), t)])
-    origin = tuple(range(t + 1))
-    right = tuple(range(t + 1, 2 * t + 1))
-    top = tuple(range(2 * t + 1, 3 * t + 1))
-    designations = {
-        "origin-right": origin + right,
-        "origin-top": origin + top,
-    }
+    pts, at = _clusters(
+        [("origin", (0.0, 0.0), t + 1), ("right", (1.0, 0.0), t), ("top", (0.0, 1.0), t)]
+    )
     spec = ScenarioSpec("gm-convex", {"t": t})
     return ScenarioInstance(
         spec=spec,
         points=PointSet(pts),
-        designations=designations,
+        designations={f"origin-{side}": at["origin"] + at[side] for side in ("right", "top")},
         reference={"n": pts.shape[0]},
     )
 
@@ -297,8 +240,7 @@ def tangent_unit_balls(k: int) -> CandidateBalls:
     lifted = np.eye(k + 1) * math.sqrt(2.0)
     lifted -= lifted.mean(axis=0)
     _, _, vt = np.linalg.svd(np.ones((1, k + 1)))
-    centers = lifted @ vt[1:].T
-    return CandidateBalls.from_balls(Ball(c, 1.0) for c in centers)
+    return CandidateBalls(lifted @ vt[1:].T, np.ones(k + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,12 @@ def phi(y, ball: Ball) -> float:
     return dist_to_ball(y, ball) / ball.radius
 
 
+def _check_factor(c: float) -> None:
+    """Reject a relaxation factor c below 1, or NaN."""
+    if not c >= 1:
+        raise InvalidParamsError(f"relaxation factor c must be >= 1, got {c}")
+
+
 def check_c_meb(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificate:
     """Is y within c times the honest enclosing-ball radius of its center?
 
@@ -99,8 +105,7 @@ def check_c_meb(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificate:
     otherwise. The honest ball comes from a bounded, thread-safe memo keyed
     by value (``_honest_ball``).
     """
-    if c < 1:
-        raise InvalidParamsError(f"relaxation factor c must be >= 1, got {c}")
+    _check_factor(c)
     pts = as_points(honest)
     ball = _honest_ball(pts)
     v = as_vector(y, ball.dim)
@@ -217,7 +222,13 @@ def theoretical_bound(rule: str, n: int, t: int, d: int | None = None) -> float:
     k = min(d, math.comb(n, n - t) - 1)
     if k < 1:
         return 1.0
-    return 1.0 + (k - 1.0) / (k + 1.0 + math.sqrt(2.0 * (k + 1.0) * k))
+    return 1.0 + _tangent_minmax_value(k)
+
+
+def _tangent_minmax_value(k: int) -> float:
+    """Min-max value of k+1 mutually tangent unit balls in k dimensions,
+    (k-1)/(k+1+sqrt(2(k+1)k)): the worst case of the minmax-meb bound."""
+    return (k - 1.0) / (k + 1.0 + math.sqrt(2.0 * (k + 1.0) * k))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mebagg import (
     candidate_balls,
     candidate_balls_bruteforce,
     coordwise_median,
+    diameter,
     dist_to_hull,
     exhaustive_factor,
     geometric_median,
@@ -172,6 +174,29 @@ def test_mda_and_medoid_hold_when_the_extent_passes_the_float_range():
     wide = np.array([(-1e308, 0.0), (1e308, 0.0), (0.0, 1e308), (0.1e308, 0.2e308)])
     assert np.allclose(geometric_median(wide).output,
                        geometric_median(wide / 1e308).output * 1e308, rtol=1e-9, atol=0.0)
+
+
+def test_pairwise_rules_hold_memory_to_a_few_blocks():
+    # all n x n x d differences at once would take 60 times the input here
+    pts = np.random.default_rng(3).normal(size=(30, 2000))
+    for run in (lambda: medoid(pts), lambda: mda(pts, 1), lambda: diameter(pts)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * pts.nbytes, peak
+
+
+def test_distance_matrix_blocks_change_no_bit(monkeypatch):
+    rng = np.random.default_rng(8)
+    inputs = [rng.normal(size=(int(rng.integers(1, 20)), int(rng.integers(1, 9)))) * 10.0**e
+              for e in (-200, 0, 200) for _ in range(10)]
+    whole = [aggregate._distance_matrix(p) for p in inputs]
+    monkeypatch.setattr(aggregate, "_CHUNK_ELEMS", 5)
+    for p, w in zip(inputs, whole):
+        assert np.array_equal(aggregate._distance_matrix(p), w)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,24 @@ def test_aggregate_malformed_csv_exits_1(runner, tmp_path):
     assert "line 2" in result.output
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ('{"points": [["a", 1], [2, 3]]}', "points"),
+        ('{"points": [[1, 2], [3]]}', "points"),
+        ('{"points": [[1, 2], [3, 4], [5, 6]], "labels": "honest"}', "labels"),
+        ('{"points": [[1, 2], [3, 4]], "labels": [["honest"], "byz"]}', "labels"),
+    ],
+    ids=["non-numeric", "ragged", "labels-string", "labels-not-strings"],
+)
+def test_aggregate_malformed_json_exits_1(runner, tmp_path, payload, field):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    result = runner.invoke(main, ["aggregate", str(path), "--rule", "mean"])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith(f'error: "{field}" must be')
+
+
 def test_aggregate_resilience_violation_exits_2(runner, tmp_path):
     path = write_interval_csv(tmp_path)
     result = runner.invoke(main, ["aggregate", str(path), "--rule", "minmax-meb", "-t", "2"])
@@ -213,6 +231,16 @@ def test_certify_ignore_labels_keeps_the_designation_on_a_pass(runner, tmp_path)
             "witness": [1, 2],
         }
     ]
+
+
+@pytest.mark.parametrize("c", ["0.5", "nan"])
+@pytest.mark.parametrize("mode", [[], ["--ignore-labels"]], ids=["labeled", "worst-case"])
+def test_certify_rejects_a_factor_below_one(runner, tmp_path, c, mode):
+    path = tmp_path / "p.csv"
+    path.write_text("0,0,honest\n2,0,honest\n9,9,byz\n")
+    result = runner.invoke(main, ["certify", str(path), "--y=1,0", "-t", "1", "--c", c, *mode])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: relaxation factor c must be >= 1")
 
 
 def test_scenario_tangent_balls_verify(runner):

@@ -18,6 +18,7 @@ from mebagg import (
     safe_meb_empty,
     tangent_unit_balls,
 )
+from mebagg.scenarios import lower_bound_geometry
 
 # ---------------------------------------------------------------------------
 # emptiness construction
@@ -53,6 +54,15 @@ def test_lower_bound_unit_balls_meet_only_at_q():
     big = inst.balls["big"]
     assert np.linalg.norm(q - big.center) > big.radius  # far ball excludes q
     assert inst.reference["gap"] < 1 / (2 * 3)
+
+
+def test_lower_bound_gap_meets_its_target():
+    # the closed form puts the big ball's bulge at 1/(4D) up to rounding;
+    # from D = 12 on, the floor on its center holds the bulge lower still
+    for D in range(2, 16):
+        gap = lower_bound_geometry(D)["gap"]
+        assert gap <= (1.0 + 1e-12) / (4 * D), D
+        assert D >= 12 or math.isclose(gap, 1.0 / (4 * D), rel_tol=1e-12), D
 
 
 def test_lower_bound_constructed_balls_are_candidates():

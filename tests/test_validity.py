@@ -94,6 +94,11 @@ def test_c_meb_requires_c_at_least_one():
         check_c_meb((0, 0), [(0.0, 0.0), (1.0, 0.0)], 0.5)
 
 
+def test_c_meb_rejects_a_nan_factor():
+    with pytest.raises(InvalidParamsError):
+        check_c_meb((0, 0), [(0.0, 0.0), (1.0, 0.0)], math.nan)
+
+
 # ---------------------------------------------------------------------------
 # safe intersection value / emptiness
 
