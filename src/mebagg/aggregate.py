@@ -28,7 +28,6 @@ from .geometry import (
     _CHUNK_ELEMS,
     Ball,
     _full_rank,
-    _index_chunks,
     _length_tol,
     _one_center,
     _row_norms,
@@ -43,6 +42,14 @@ MAX_SUBSETS = 2_000_000
 # support checks: candidate_balls searches when its node bound is cheaper than
 # the supports, and the search falls back to bases past C(n, t) at this price.
 _MEB_COST_IN_SUPPORTS = 500
+
+
+def _index_chunks(n: int, k: int, rows: int, combos=None):
+    """The k-subsets of range(n) in lexicographic order, or ``combos``, ``rows`` at a time."""
+    combos = itertools.combinations(range(n), k) if combos is None else iter(combos)
+    while chunk := list(itertools.islice(combos, rows)):
+        flat = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, len(chunk) * k)
+        yield flat.reshape(len(chunk), k)
 
 
 @dataclass(frozen=True)

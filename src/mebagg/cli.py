@@ -250,6 +250,16 @@ def _verify_scenario(kind, inst, balls_obj, params, tol, max_subsets):
     return True, {"n": inst.points.n}  # random: no defining property
 
 
+def _cast_param(name, default, value):
+    """``value`` cast to the type of the option's ``default``. A bool, or a
+    number with a fraction for an int option, raises ValueError instead of
+    being truncated."""
+    kind = type(default)
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 @main.command()
 @click.argument("kind", type=click.Choice(list(SCENARIOS)), required=False)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="Load kind and params from a scenario.json file.")
@@ -281,7 +291,7 @@ def scenario(ctx, kind, config_path, emit_dir, verify, **options):
         options["seed"] = ctx.obj["seed"]
         try:
             # a config's params overlay the options, cast to the options' types
-            params = {name: type(options[name])(given.get(name, options[name])) for name in names}
+            params = {name: _cast_param(name, options[name], given.get(name, options[name])) for name in names}
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad scenario param in {config_path}: {exc}")
         made = generate(**params)

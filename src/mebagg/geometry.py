@@ -70,17 +70,9 @@ class TrustedBox:
 # strictly raises the working-set optimum, so it settles long before this.
 _MINMAX_MAX_ROUNDS = 500
 
-# Index subsets solved per batch: each batch holds a few rows x n x d arrays,
-# so this element budget bounds the working memory at any n.
+# Index subsets or row blocks handled per batch: each batch holds a few
+# rows x n x d arrays, so this element budget bounds the working memory at any n.
 _CHUNK_ELEMS = 1 << 16
-
-
-def _index_chunks(n: int, k: int, rows: int, combos=None):
-    """The k-subsets of range(n) in lexicographic order, or ``combos``, ``rows`` at a time."""
-    combos = itertools.combinations(range(n), k) if combos is None else iter(combos)
-    while chunk := list(itertools.islice(combos, rows)):
-        flat = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, len(chunk) * k)
-        yield flat.reshape(len(chunk), k)
 
 
 def _spread_exp(x) -> int:
@@ -117,96 +109,102 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[order], order
 
 
-def _full_rank(G: np.ndarray) -> np.ndarray:
-    """Which Gram matrices in the batch G are nonsingular, by the Hadamard
+def _full_rank(G: np.ndarray):
+    """Is the Gram matrix G, or each one of a batch, nonsingular, by the Hadamard
     ratio det(G) / prod(G_ii): 1 for orthogonal rows, 0 for dependent ones."""
     diag = np.diagonal(G, axis1=-2, axis2=-1)
-    return np.linalg.det(G) > G.shape[-1] * np.finfo(float).eps * np.prod(diag, axis=-1)
+    return np.linalg.det(G) > G.shape[-1] * np.finfo(float).eps * np.multiply.reduce(diag, axis=-1)
 
 
-def _closed_form(CW: np.ndarray, RW: np.ndarray, subs: np.ndarray, slack: float):
-    """Solve each row S of ``subs`` in closed form. With c_0 the ball of S
-    of smallest radius, V the rows c_i - c_0, G = V V^T, b_i = |v_i|^2/2,
+def _closed_form(CW: np.ndarray, RW: np.ndarray, S: np.ndarray, slack: float):
+    """Solve the balls S in closed form. With c_0 the ball of S of smallest
+    radius, V the rows c_i - c_0, G = V V^T, b_i = |v_i|^2/2,
     delta_i = (r_i^2 - r_0^2)/2 and q = rho^2, y = c_0 + V^T gamma with
     G gamma = b - q delta has ratio rho at every ball of S: a line
     y(q) = c_0 + a - q w, on which |y(q) - c_0|^2 = q r_0^2 fixes q; forming
     the discriminant from the offset of c_0 from the line keeps the root
     accurate when one radius is tiny. Returns S sorted by radius, y, rho,
-    ``ok`` (each ball of S has the top ratio, rho) and y's convex weights."""
-    rows = np.arange(len(subs))[:, None]
-    subs = subs[rows, np.argsort(RW[subs], axis=1)]
-    Cs, Rs = CW[subs], RW[subs]
-    V = Cs[:, 1:] - Cs[:, :1]
-    G = V @ V.transpose(0, 2, 1)
-    ok = _full_rank(G)
-    G[~ok] = np.eye(subs.shape[1] - 1)
-    r0sq = Rs[:, 0] ** 2
-    rhs = np.stack([np.einsum("sij,sij->si", V, V), Rs[:, 1:] ** 2 - r0sq[:, None]], axis=2)
-    beta = np.linalg.solve(G, 0.5 * rhs)
-    a = np.einsum("si,sid->sd", beta[..., 0], V)
-    w = np.einsum("si,sid->sd", beta[..., 1], V)
-    aa, aw, ww = (a * a).sum(axis=1), (a * w).sum(axis=1), (w * w).sum(axis=1)
-    a_perp = a - (aw / np.where(ww > 0, ww, 1.0))[:, None] * w
+    ``ok`` (each ball of S has the top ratio, rho) and y's convex weights;
+    when G is singular or q has no root, ``ok`` is False and the rest None."""
+    S = S[np.argsort(RW[S])]
+    Cs, Rs = CW[S], RW[S]
+    V = Cs[1:] - Cs[0]
+    G = V @ V.T
+    if not _full_rank(G):
+        return S, None, None, False, None
+    r0sq = Rs[0] * Rs[0]  # a scalar ** 2 calls pow, which can miss r * r by an ulp
+    beta = np.linalg.solve(G, 0.5 * np.array([np.einsum("ij,ij->i", V, V), Rs[1:] ** 2 - r0sq]).T)
+    a, w = np.einsum("ik,id->kd", beta, V)
+    aa, aw, ww = np.add.reduce(a * a), np.add.reduce(a * w), np.add.reduce(w * w)
+    a_perp = a - (aw / (ww if ww > 0 else 1.0)) * w
     # |a - q w|^2 = q r_0^2  <=>  ww q^2 - lin q + aa = 0
     lin = 2.0 * aw + r0sq
-    disc = r0sq * r0sq + 4.0 * r0sq * aw - 4.0 * ww * (a_perp * a_perp).sum(axis=1)
-    ok &= lin > 0
-    q = 2.0 * aa / np.where(ok, lin + np.sqrt(np.maximum(disc, 0.0)), np.inf)
-    y = Cs[:, 0] + a - q[:, None] * w
-    ratios = np.linalg.norm(CW[None, :, :] - y[:, None, :], axis=2) / RW
-    rho = ratios.max(axis=1)
-    ok &= ratios[rows, subs].min(axis=1) >= rho * (1.0 - slack)
-    gamma = beta[..., 0] - q[:, None] * beta[..., 1]
-    return subs, y, rho, ok, np.column_stack([1.0 - gamma.sum(axis=1), gamma])
+    if not lin > 0:
+        return S, None, None, False, None
+    disc = r0sq * r0sq + 4.0 * r0sq * aw - 4.0 * ww * np.add.reduce(a_perp * a_perp)
+    q = 2.0 * aa / (lin + np.sqrt(max(disc, 0.0)))
+    y = Cs[0] + a - q * w
+    ratios = np.linalg.norm(CW - y, axis=1) / RW
+    rho = ratios.max()
+    gamma = beta[:, 0] - q * beta[:, 1]
+    return S, y, rho, ratios[S].min() >= rho * (1.0 - slack), np.append(1.0 - gamma.sum(), gamma)
 
 
 def _pivot(CW: np.ndarray, RW: np.ndarray, slack: float):
     """Pivot all the balls as one basis, dropping the ball of least convex
     weight but the violator (the last): (y, rho, S) once certified, else None."""
-    sub = np.arange(len(RW))[None]
+    S = np.arange(len(RW))
     while True:
-        sub, y, rho, ok, lam = _closed_form(CW, RW, sub, slack)
-        if not ok[0]:
+        S, y, rho, ok, lam = _closed_form(CW, RW, S, slack)
+        if not ok:
             return None
         if lam.min() >= -1e-10:
-            return y[0], float(rho[0]), sub[0]
-        lam[sub == len(RW) - 1] = np.inf
-        sub = np.delete(sub, np.argmin(lam), axis=1)
+            return y, float(rho), S
+        lam[S == len(RW) - 1] = np.inf
+        S = np.delete(S, np.argmin(lam))
+
+
+def _level_search(CW: np.ndarray, RW: np.ndarray, slack: float):
+    """Solve the subsets S of at most d+1 balls that hold the violator (the
+    last) one at a time, largest first: (y, rho, S) for the certified S of
+    least rho at the first level that has one; should rounding certify none,
+    for the tight S of least rho; else None. Ties keep the first S in
+    lexicographic order. Only the running best is held: O(m d) memory."""
+    m, d = CW.shape
+    best = None
+    for k in range(min(m, d + 1), 0, -1):
+        certified = tight = None
+        for others in itertools.combinations(range(m - 1), k - 1):
+            S, y, rho, ok, lam = _closed_form(CW, RW, np.array(others + (m - 1,)), slack)
+            if ok and lam.min() >= -1e-10 and (certified is None or rho < certified[1]):
+                certified = (y, float(rho), S)
+            if ok and (tight is None or rho < tight[1]):
+                tight = (y, float(rho), S)
+        if certified is not None:
+            return certified
+        if tight is not None and (best is None or tight[1] < best[1]):
+            best = tight
+    return best
 
 
 def _best_basis(C: np.ndarray, R: np.ndarray, work: list[int]):
-    """Exact optimum of max ||y - c_i||/r_i over the balls in ``work``,
-    whose last ball violates the optimum of the others.
+    """Exact optimum (y, rho, S) of max ||y - c_i||/r_i over the balls in
+    ``work``, whose last ball violates the optimum of the others; None when
+    no S is tight.
 
     S of at most d+1 balls is certified when its balls are tight at the
     ``_closed_form`` point y and y is in conv(S): the KKT condition, so a
     certified S is optimal. The problem is LP-type, so the violator is in
     every basis of ``work`` (Gaertner, ESA 1999). A working set of at most
-    d+1 balls is pivoted first (``_pivot``, at most d+1 solves). If that
-    ends uncertified, or ``work`` holds d+2 balls, a level search solves the
-    subsets holding the violator, largest first, up to the first certified
-    S. Should rounding certify none, the tight S of smallest rho is
-    returned as (y, rho, S); None when no S is tight.
+    d+1 balls is pivoted first (``_pivot``, at most d+1 solves); if that
+    ends uncertified, or ``work`` holds d+2 balls, ``_level_search`` decides.
     """
     CW, RW = C[work], R[work]
     m, d = CW.shape
     # a ratio is accurate to about eps * |y - c|/r, which a tiny ball inflates
     slack = 1e-10 + 1e-12 * RW.max() / RW.min()
-    if m <= d + 1 and (best := _pivot(CW, RW, slack)) is not None:
-        return best[0], best[1], [work[j] for j in best[2]]
-    rows = max(1, _CHUNK_ELEMS // (m * d))
-    best = None
-    for k in range(min(m, d + 1), 0, -1):
-        for others in _index_chunks(m - 1, k - 1, rows):
-            subs = np.column_stack([others, np.full(len(others), m - 1)])
-            subs, y, rho, ok, lam = _closed_form(CW, RW, subs, slack)
-            certified = ok & (lam >= -1e-10).all(axis=1)
-            i = int(np.argmin(np.where(certified if certified.any() else ok, rho, np.inf)))
-            if ok[i] and (certified[i] or best is None or rho[i] < best[1]):
-                best = (y[i], float(rho[i]), [work[j] for j in subs[i]])
-                if certified[i]:
-                    return best
-    return best
+    best = (m <= d + 1 and _pivot(CW, RW, slack)) or _level_search(CW, RW, slack)
+    return best and (best[0], best[1], [work[j] for j in best[2]])
 
 
 def _one_center(C: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float, list[int]]:

@@ -35,6 +35,8 @@ class PointSet:
                 raise MebaggError(
                     f"got {len(labels)} labels for {pts.shape[0]} points"
                 )
+            if not all(isinstance(label, str) for label in labels):
+                raise MebaggError(f"labels must be strings, got {labels!r}")
             bad = set(labels) - _VALID_LABELS
             if bad:
                 raise MebaggError(f"unknown labels: {sorted(bad)}")

@@ -91,9 +91,9 @@ def phi(y, ball: Ball) -> float:
 
 
 def _check_factor(c: float) -> None:
-    """Reject a relaxation factor c below 1, or NaN."""
-    if not c >= 1:
-        raise InvalidParamsError(f"relaxation factor c must be >= 1, got {c}")
+    """Reject a relaxation factor c below 1, infinite, or NaN."""
+    if not 1 <= c < math.inf:
+        raise InvalidParamsError(f"relaxation factor c must be >= 1 and finite, got {c}")
 
 
 def check_c_meb(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificate:

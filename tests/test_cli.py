@@ -243,6 +243,16 @@ def test_certify_rejects_a_factor_below_one(runner, tmp_path, c, mode):
     assert result.output.startswith("error: relaxation factor c must be >= 1")
 
 
+@pytest.mark.parametrize("mode", [[], ["--ignore-labels"]], ids=["labeled", "worst-case"])
+def test_certify_rejects_an_infinite_factor(runner, tmp_path, mode):
+    # an infinite bound would print as Infinity, which is not JSON
+    path = tmp_path / "p.csv"
+    path.write_text("0,0,honest\n2,0,honest\n9,9,byz\n")
+    result = runner.invoke(main, ["certify", str(path), "--y=1,0", "-t", "1", "--c", "inf", *mode])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: relaxation factor c must be >= 1 and finite, got inf")
+
+
 def test_scenario_tangent_balls_verify(runner):
     result = runner.invoke(main, ["scenario", "tangent-balls", "--k", "2", "--verify"])
     assert result.exit_code == 0, result.output
@@ -345,8 +355,15 @@ def test_scenario_config_reproduces_the_emitted_scenario(runner, tmp_path, argv)
 
 
 @pytest.mark.parametrize(
-    "payload", ["{not json", "5", '{"kind": "lower-bound", "params": {"d": "three"}}'],
-    ids=["invalid-json", "not-an-object", "uncastable-param"],
+    "payload",
+    [
+        "{not json",
+        "5",
+        '{"kind": "lower-bound", "params": {"d": "three"}}',
+        '{"kind": "tangent-balls", "params": {"k": 2.7}}',
+        '{"kind": "medoid-ce", "params": {"t": true}}',
+    ],
+    ids=["invalid-json", "not-an-object", "uncastable-param", "fractional-int-param", "bool-param"],
 )
 def test_scenario_malformed_config_is_an_error(runner, tmp_path, payload):
     path = tmp_path / "scenario.json"

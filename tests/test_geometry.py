@@ -153,6 +153,33 @@ def test_meb_optimality_certificate_any_dimension(d):
         assert math.isclose(ball.radius, math.sqrt(d / (d + 1)), rel_tol=1e-12)
 
 
+def _batched_closed_form(CW, RW, subs):
+    """The closed form of ``geometry._closed_form`` on a batch of subsets,
+    each row sorted by radius: (subs, y, ok), ``ok`` False where the Gram
+    matrix is rank-deficient or q has no root."""
+    subs = np.take_along_axis(subs, np.argsort(RW[subs], axis=1), axis=1)
+    Cs, Rs = CW[subs], RW[subs]
+    if subs.shape[1] == 1:
+        return subs, Cs[:, 0], np.ones(len(subs), dtype=bool)
+    V = Cs[:, 1:] - Cs[:, :1]
+    G = V @ V.transpose(0, 2, 1)
+    ok = np.linalg.matrix_rank(G) == subs.shape[1] - 1
+    G[~ok] = np.eye(subs.shape[1] - 1)
+    r0sq = Rs[:, 0] ** 2
+    b = 0.5 * np.einsum("sij,sij->si", V, V)
+    delta = 0.5 * (Rs[:, 1:] ** 2 - r0sq[:, None])
+    beta = np.linalg.solve(G, np.stack([b, delta], axis=2))
+    a = np.einsum("si,sid->sd", beta[..., 0], V)
+    w = np.einsum("si,sid->sd", beta[..., 1], V)
+    aa, aw, ww = (a * a).sum(axis=1), (a * w).sum(axis=1), (w * w).sum(axis=1)
+    a_perp = a - (aw / np.where(ww > 0, ww, 1.0))[:, None] * w
+    lin = 2.0 * aw + r0sq
+    disc = r0sq * r0sq + 4.0 * r0sq * aw - 4.0 * ww * (a_perp * a_perp).sum(axis=1)
+    ok &= lin > 0
+    q = 2.0 * aa / np.where(ok, lin + np.sqrt(np.maximum(disc, 0.0)), np.inf)
+    return subs, Cs[:, 0] + a - q[:, None] * w, ok
+
+
 def _all_subsets_basis(C, R, work):
     """Exhaustive working-set optimum: every subset of at most d+1 balls of
     ``work`` solved in closed form (as ``geometry._best_basis`` does), the
@@ -162,30 +189,7 @@ def _all_subsets_basis(C, R, work):
     slack = 1e-10 + 1e-12 * RW.max() / RW.min()
     best = None
     for k in range(1, min(m, d + 1) + 1):
-        subs = np.array(list(itertools.combinations(range(m), k)))
-        subs = np.take_along_axis(subs, np.argsort(RW[subs], axis=1), axis=1)
-        Cs, Rs = CW[subs], RW[subs]
-        if k == 1:
-            y = Cs[:, 0]
-            ok = np.ones(len(subs), dtype=bool)
-        else:
-            V = Cs[:, 1:] - Cs[:, :1]
-            G = V @ V.transpose(0, 2, 1)
-            ok = np.linalg.matrix_rank(G) == k - 1
-            G[~ok] = np.eye(k - 1)
-            r0sq = Rs[:, 0] ** 2
-            b = 0.5 * np.einsum("sij,sij->si", V, V)
-            delta = 0.5 * (Rs[:, 1:] ** 2 - r0sq[:, None])
-            beta = np.linalg.solve(G, np.stack([b, delta], axis=2))
-            a = np.einsum("si,sid->sd", beta[..., 0], V)
-            w = np.einsum("si,sid->sd", beta[..., 1], V)
-            aa, aw, ww = (a * a).sum(axis=1), (a * w).sum(axis=1), (w * w).sum(axis=1)
-            a_perp = a - (aw / np.where(ww > 0, ww, 1.0))[:, None] * w
-            lin = 2.0 * aw + r0sq
-            disc = r0sq * r0sq + 4.0 * r0sq * aw - 4.0 * ww * (a_perp * a_perp).sum(axis=1)
-            ok &= lin > 0
-            q = 2.0 * aa / np.where(ok, lin + np.sqrt(np.maximum(disc, 0.0)), np.inf)
-            y = Cs[:, 0] + a - q[:, None] * w
+        subs, y, ok = _batched_closed_form(CW, RW, np.array(list(itertools.combinations(range(m), k))))
         ratios = np.linalg.norm(CW[None, :, :] - y[:, None, :], axis=2) / RW
         rho = ratios.max(axis=1)
         ok &= np.take_along_axis(ratios, subs, axis=1).min(axis=1) >= rho * (1.0 - slack)
@@ -251,6 +255,24 @@ def _check_best_basis_against_oracle(cases):
         assert np.linalg.norm(A @ weights - np.append(y, 1.0)) <= 1e-9
 
 
+def test_closed_form_matches_the_batched_oracle_bit_for_bit(working_sets):
+    # one subset at a time, the kernel does the batched arithmetic op for op;
+    # the hand case has a radius whose scalar ``r ** 2`` (pow) misses r * r by an ulp
+    compared = 0
+    hand = (np.array([[0.0], [1.0]]), np.array([0.2976070277862801, 1.0]), [0, 1])
+    for C, R, work in [hand, *working_sets]:
+        CW, RW = C[work], R[work]
+        m, d = CW.shape
+        for k in range(2, min(m, d + 1) + 1):
+            combos = np.array(list(itertools.combinations(range(m), k)))
+            for S, y, ok, row in zip(*_batched_closed_form(CW, RW, combos), combos):
+                S_one, y_one, _, _, _ = mebagg.geometry._closed_form(CW, RW, row, 0.0)
+                if ok and y_one is not None:
+                    assert np.array_equal(S_one, S) and np.array_equal(y_one, y), (work, row)
+                    compared += 1
+    assert compared >= 5000
+
+
 def test_best_basis_matches_all_subsets_oracle(working_sets, monkeypatch):
     # the pivot settles almost every working set of at most d+1 balls; the
     # level search takes the rest; the exhaustive search agrees either way
@@ -278,7 +300,7 @@ def test_meb_regular_simplex_by_the_pivot_alone(monkeypatch):
     def no_level_search(*args):
         raise AssertionError("the level search ran")
 
-    monkeypatch.setattr(mebagg.geometry, "_index_chunks", no_level_search)
+    monkeypatch.setattr(mebagg.geometry, "_level_search", no_level_search)
     for d in range(1, 21):
         ball = meb(np.eye(d + 1))
         assert math.isclose(ball.radius, math.sqrt(d / (d + 1)), rel_tol=1e-12), d

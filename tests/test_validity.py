@@ -9,6 +9,7 @@ from mebagg import (
     Ball,
     CandidateBalls,
     InvalidParamsError,
+    MebaggError,
     PointSet,
     RELATIONS,
     ResilienceViolationError,
@@ -380,6 +381,18 @@ def test_relation_sampling_sweeps(rng):
 def test_relation_unknown_name():
     with pytest.raises(InvalidParamsError):
         relation_check("nope", [(0.0, 0.0)])
+
+
+# ---------------------------------------------------------------------------
+# point sets
+
+
+@pytest.mark.parametrize(
+    "labels", [[["a"], "byz"], [5, "honest"], ["honest", None]], ids=["unhashable", "int", "none"]
+)
+def test_point_set_rejects_a_label_that_is_not_a_string(labels):
+    with pytest.raises(MebaggError, match="labels must be strings"):
+        PointSet(np.zeros((2, 2)), labels)
 
 
 # ---------------------------------------------------------------------------
