@@ -21,6 +21,7 @@ from .errors import (
 from .pointset import as_points, as_vector
 
 HULL_MAX_ITER = 10_000
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,7 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _full_rank(G: np.ndarray):
     """Is the Gram matrix G, or each one of a batch, nonsingular, by the Hadamard
     ratio det(G) / prod(G_ii): 1 for orthogonal rows, 0 for dependent ones."""
-    diag = np.diagonal(G, axis1=-2, axis2=-1)
-    return np.linalg.det(G) > G.shape[-1] * np.finfo(float).eps * np.multiply.reduce(diag, axis=-1)
+    return np.linalg.det(G) > G.shape[-1] * _EPS * np.multiply.reduce(G.diagonal(0, -2, -1), -1)
 
 
 def _closed_form(CW: np.ndarray, RW: np.ndarray, S: np.ndarray, slack: float):
@@ -132,35 +132,41 @@ def _closed_form(CW: np.ndarray, RW: np.ndarray, S: np.ndarray, slack: float):
     G = V @ V.T
     if not _full_rank(G):
         return S, None, None, False, None
-    r0sq = Rs[0] * Rs[0]  # a scalar ** 2 calls pow, which can miss r * r by an ulp
+    r0sq = float(Rs[0] * Rs[0])  # a scalar ** 2 calls pow, which can miss r * r by an ulp
     beta = np.linalg.solve(G, 0.5 * np.array([np.einsum("ij,ij->i", V, V), Rs[1:] ** 2 - r0sq]).T)
-    a, w = np.einsum("ik,id->kd", beta, V)
-    aa, aw, ww = np.add.reduce(a * a), np.add.reduce(a * w), np.add.reduce(w * w)
+    a, w = lines = np.einsum("ik,id->kd", beta, V)
+    (aa, aw), (_, ww) = np.add.reduce(lines[:, None] * lines, axis=2).tolist()
     a_perp = a - (aw / (ww if ww > 0 else 1.0)) * w
     # |a - q w|^2 = q r_0^2  <=>  ww q^2 - lin q + aa = 0
     lin = 2.0 * aw + r0sq
     if not lin > 0:
         return S, None, None, False, None
-    disc = r0sq * r0sq + 4.0 * r0sq * aw - 4.0 * ww * np.add.reduce(a_perp * a_perp)
-    q = 2.0 * aa / (lin + np.sqrt(max(disc, 0.0)))
+    disc = r0sq * r0sq + 4.0 * r0sq * aw - 4.0 * ww * float(np.add.reduce(a_perp * a_perp))
+    q = 2.0 * aa / (lin + math.sqrt(max(disc, 0.0)))
     y = Cs[0] + a - q * w
-    ratios = np.linalg.norm(CW - y, axis=1) / RW
+    ratios = np.sqrt(np.add.reduce((CW - y) ** 2, axis=1)) / RW  # norm(axis=1), unwrapped
     rho = ratios.max()
     gamma = beta[:, 0] - q * beta[:, 1]
-    return S, y, rho, ratios[S].min() >= rho * (1.0 - slack), np.append(1.0 - gamma.sum(), gamma)
+    lam = np.concatenate(([1.0 - gamma.sum()], gamma))
+    return S, y, rho, ratios[S].min() >= rho * (1.0 - slack), lam
 
 
-def _pivot(CW: np.ndarray, RW: np.ndarray, slack: float):
-    """Pivot all the balls as one basis, dropping the ball of least convex
-    weight but the violator (the last): (y, rho, S) once certified, else None."""
-    S = np.arange(len(RW))
+def _slack(RW: np.ndarray) -> float:
+    """Tightness slack: a ratio is accurate to about eps |y - c|/r, which a tiny r inflates."""
+    return 1e-10 + 1e-12 * RW.max() / RW.min()
+
+
+def _pivot(CW: np.ndarray, RW: np.ndarray, keep: int):
+    """Pivot all the balls as one basis, dropping the ball of least convex weight
+    but ball ``keep`` (``len(RW)`` keeps none): (y, rho, S) once certified, else None."""
+    S, slack = np.arange(len(RW)), _slack(RW)
     while True:
         S, y, rho, ok, lam = _closed_form(CW, RW, S, slack)
         if not ok:
             return None
         if lam.min() >= -1e-10:
             return y, float(rho), S
-        lam[S == len(RW) - 1] = np.inf
+        lam[S == keep] = np.inf
         S = np.delete(S, np.argmin(lam))
 
 
@@ -201,9 +207,7 @@ def _best_basis(C: np.ndarray, R: np.ndarray, work: list[int]):
     """
     CW, RW = C[work], R[work]
     m, d = CW.shape
-    # a ratio is accurate to about eps * |y - c|/r, which a tiny ball inflates
-    slack = 1e-10 + 1e-12 * RW.max() / RW.min()
-    best = (m <= d + 1 and _pivot(CW, RW, slack)) or _level_search(CW, RW, slack)
+    best = (m <= d + 1 and _pivot(CW, RW, m - 1)) or _level_search(CW, RW, _slack(RW))
     return best and (best[0], best[1], [work[j] for j in best[2]])
 
 
@@ -211,14 +215,14 @@ def _one_center(C: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float, list[i
     """(y, rho, basis) minimizing rho = max_i ||y - c_i|| / r_i, exactly;
     all r_i > 0. ``basis`` indexes tight balls that alone give this optimum.
 
-    The weighted Euclidean 1-center problem (Megiddo 1983) is LP-type with
-    combinatorial dimension d+1, so the optimum is fixed by at most d+1
-    tight balls whose centers hold y in their convex hull. An active-set
-    loop finds them: solve the working set exactly (``_best_basis``), stop
-    when no ball has a larger ratio, else make the optimal support plus the
-    worst violator, kept last for ``_best_basis``, the new working set. It
-    never exceeds d+2 balls and its optimum strictly rises each round. With
-    every r_i = 1 this is the minimum enclosing ball of the centers.
+    The weighted Euclidean 1-center problem (Megiddo 1983) is LP-type: at
+    most d+1 tight balls whose centers hold y in their hull fix the optimum.
+    So at most d+1 balls are first pivoted as one basis (``_pivot``); all
+    are in it, so a certified pivot is optimal. Else (G singular, say) an
+    active-set loop from a far pair solves the working set (``_best_basis``),
+    stops when no ball has a larger ratio, else adds the worst violator, kept
+    last, to the optimal support. It never exceeds d+2 balls and its optimum
+    strictly rises each round. With every r_i = 1 it gives the centers' MEB.
     """
     # a local origin keeps the closed-form solves well scaled at any offset;
     # power-of-two scales bring the spread and the radii near 1 without
@@ -227,7 +231,10 @@ def _one_center(C: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float, list[i
     cexp, rexp = _spread_exp(C - origin), _spread_exp(R)
     local = np.ldexp(C - origin, -cexp)
     R = np.ldexp(R, -rexp)
-    # start from a far pair: the ball farthest by ratio from the centroid,
+    if len(R) <= C.shape[1] + 1 and (first := _pivot(local, R, len(R))):
+        y, rho, S = first
+        return np.ldexp(y, cexp) + origin, float(np.ldexp(rho, cexp - rexp)), S.tolist()
+    # else start from a far pair: the ball farthest by ratio from the centroid,
     # then the ball farthest from it by ||c_i - c_j|| / (r_i + r_j)
     i = int(np.argmax(np.linalg.norm(local, axis=1) / R))
     j = int(np.argmax(np.linalg.norm(local - local[i], axis=1) / (R + R[i])))
@@ -257,8 +264,6 @@ def meb(points) -> Ball:
     """
     pts = as_points(points)
     uniq, _ = _unique_rows(pts)
-    if uniq.shape[0] == 1:
-        return Ball(uniq[0], 0.0)
     center, _, _ = _one_center(uniq, np.ones(uniq.shape[0]))
     # pin containment with the realized radius
     return Ball(center, float(_row_norms(pts - center).max()))
@@ -307,7 +312,7 @@ def dist_to_hull(y, points, *, max_iter: int = HULL_MAX_ITER, return_witness: bo
     e = _spread_exp(pts - v)
     P = np.ldexp(pts - v, -e)
     sq = np.einsum("ij,ij->i", P, P)
-    floor = 8.0 * np.finfo(float).eps * sq.max()
+    floor = 8.0 * _EPS * sq.max()
     corral, lam = [int(np.argmin(sq))], np.ones(1)
     x = P[corral[0]]
     for _ in range(max_iter):

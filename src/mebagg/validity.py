@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .aggregate import CandidateBalls, solve_minmax
+from .aggregate import CandidateBalls, _is_int, solve_minmax
 from .errors import (
     InvalidParamsError,
     ResilienceViolationError,
@@ -90,10 +90,10 @@ def phi(y, ball: Ball) -> float:
     return dist_to_ball(y, ball) / ball.radius
 
 
-def _check_factor(c: float) -> None:
-    """Reject a relaxation factor c below 1, infinite, or NaN."""
-    if not 1 <= c < math.inf:
-        raise InvalidParamsError(f"relaxation factor c must be >= 1 and finite, got {c}")
+def _check_factor(value: float, name: str = "relaxation factor c", least: float = 1.0) -> None:
+    """Reject a factor (or slack) below ``least``, infinite, or NaN."""
+    if not least <= value < math.inf:
+        raise InvalidParamsError(f"{name} must be >= {least:g} and finite, got {value}")
 
 
 def check_c_meb(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificate:
@@ -167,8 +167,7 @@ def check_relaxed_convex(y, honest, delta: float, *, tol: float = ABS_TOL) -> Ce
     The hull maximum of the distance is attained at a vertex, so it equals
     the maximum over the honest points themselves.
     """
-    if delta < 0:
-        raise InvalidParamsError(f"delta must be >= 0, got {delta}")
+    _check_factor(delta, "delta", 0.0)
     pts = as_points(honest)
     v = as_vector(y, pts.shape[1])
     dists = _row_norms(pts - v)
@@ -182,8 +181,10 @@ def check_relaxed_convex(y, honest, delta: float, *, tol: float = ABS_TOL) -> Ce
 def check_bias_bound(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificate:
     """Deviation from the honest mean against the (c+1) * radius budget.
 
-    The honest ball comes from a bounded, thread-safe memo keyed by value
-    (``_honest_ball``)."""
+    Any finite c >= 0 is accepted, so an achieved factor below 1 can be
+    checked. The honest ball comes from a bounded, thread-safe memo keyed by
+    value (``_honest_ball``)."""
+    _check_factor(c, "c", 0.0)
     pts = as_points(honest)
     v = as_vector(y, pts.shape[1])
     ball = _honest_ball(pts)
@@ -204,6 +205,10 @@ def theoretical_bound(rule: str, n: int, t: int, d: int | None = None) -> float:
     if rule not in _BOUND_RULES:
         raise InvalidParamsError(
             f"no proven bound for rule {rule!r}; choose from {_BOUND_RULES}"
+        )
+    if not all(map(_is_int, (n, t, 0 if d is None else d))):
+        raise InvalidParamsError(
+            f"n, t and d (if given) must be integers, got n={n!r}, t={t!r}, d={d!r}"
         )
     if t < 0 or t >= n:
         raise InvalidParamsError(f"need 0 <= t < n, got n={n}, t={t}")
@@ -277,12 +282,16 @@ def relation_check(
         the hull lie within the (1 + 2*delta/diam) inflated ball; skipped if
         the honest set is a single location.
 
-    ``tol`` scales with the honest extent (``geometry._length_tol``). The
-    honest ball comes from a bounded, thread-safe memo keyed by value
-    (``_honest_ball``), so the four relations on one honest set build it once.
+    ``c`` and ``delta`` must be finite and >= 0. ``tol`` scales with the
+    honest extent (``geometry._length_tol``). The honest ball comes from a
+    bounded, thread-safe memo keyed by value (``_honest_ball``), so the four
+    relations on one honest set build it once.
     """
     if relation not in RELATIONS:
         raise InvalidParamsError(f"unknown relation {relation!r}; choose from {RELATIONS}")
+    _check_factor(c, "c", 0.0)
+    if delta is not None:
+        _check_factor(delta, "delta", 0.0)
     pts = as_points(honest)
     if rng is None:
         rng = np.random.default_rng(0)

@@ -586,6 +586,17 @@ def test_candidate_balls_fast_path_matches_direct_meb(rng):
             assert np.allclose(ball.center, direct.center, atol=1e-7)
 
 
+@pytest.mark.parametrize(
+    "t", [1.5, 1.0, True, np.float64(1.0)], ids=["1.5", "1.0", "True", "np-float"]
+)
+def test_fault_budget_must_be_an_integer(t):
+    pts = np.random.default_rng(3).normal(size=(6, 2))
+    for rule in (mda, candidate_balls, minmax_meb):
+        with pytest.raises(InvalidFaultBudgetError, match="integer"):
+            rule(pts, t)
+    assert mda(pts, np.int64(1)).chosen_subset == mda(pts, 1).chosen_subset
+
+
 def test_candidate_balls_errors():
     with pytest.raises(InvalidFaultBudgetError):
         candidate_balls([(0.0,), (1.0,)], 2)

@@ -12,6 +12,7 @@ import mebagg.geometry
 
 from mebagg import (
     Ball,
+    CandidateBalls,
     DimensionMismatchError,
     EmptyInputError,
     InvalidTangentConfigurationError,
@@ -20,11 +21,13 @@ from mebagg import (
     dist_to_ball,
     dist_to_hull,
     geometric_median,
+    grid_minmax,
     meb,
     mda,
     meb_bruteforce,
     random_instance,
     soddy_inner_bend,
+    solve_minmax,
     trusted_box,
 )
 from conftest import random_cloud, random_rotation
@@ -295,16 +298,84 @@ def test_best_basis_level_search_matches_all_subsets_oracle(working_sets, monkey
     _check_best_basis_against_oracle(working_sets)
 
 
+def _count_calls(monkeypatch, name):
+    """A list that grows by one at each call of ``geometry.<name>``, which still runs."""
+    fn, calls = getattr(mebagg.geometry, name), []
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(mebagg.geometry, name, counted)
+    return calls
+
+
 def test_meb_regular_simplex_by_the_pivot_alone(monkeypatch):
-    # the level search raises, so the pivot alone settles every round
+    # the level search raises, so the pivot alone settles every round; d+1
+    # points fit one basis, so the first round solves them all in one closed
+    # form and no working set is ever built
     def no_level_search(*args):
         raise AssertionError("the level search ran")
 
     monkeypatch.setattr(mebagg.geometry, "_level_search", no_level_search)
+    closed_forms = _count_calls(monkeypatch, "_closed_form")
+    bases = _count_calls(monkeypatch, "_best_basis")
     for d in range(1, 21):
+        closed_forms.clear()
         ball = meb(np.eye(d + 1))
+        assert len(closed_forms) == 1 and not bases, d
         assert math.isclose(ball.radius, math.sqrt(d / (d + 1)), rel_tol=1e-12), d
         assert np.allclose(ball.center, 1.0 / (d + 1), rtol=0.0, atol=1e-12), d
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_meb_of_an_affinely_dependent_small_set_takes_the_fallback(d, monkeypatch):
+    # d+1 points on a flat of lower dimension (a line, a plane in R^3, ...):
+    # G is singular, so the first round cannot certify and the far-pair loop
+    # decides; the ball passes the any-d certificate and matches the brute force
+    bases = _count_calls(monkeypatch, "_best_basis")
+    rng = np.random.default_rng(70 + d)
+    for flat in range(1, d):
+        for _ in range(5):
+            pts = np.zeros((d + 1, d))
+            pts[:, :flat] = rng.normal(size=(d + 1, flat))
+            pts = pts[:, rng.permutation(d)] + 1e3
+            bases.clear()
+            ball = meb(pts)
+            assert bases, (d, flat)
+            dists = np.linalg.norm(pts - ball.center, axis=1)
+            assert dists.max() <= ball.radius
+            tight = pts[dists >= ball.radius * (1.0 - 1e-9)]
+            assert dist_to_hull(ball.center, tight) <= 1e-9 * ball.radius
+            brute = meb_bruteforce(pts)
+            assert math.isclose(ball.radius, brute.radius, rel_tol=1e-9)
+            assert np.allclose(ball.center, brute.center, rtol=0.0, atol=1e-9 * brute.radius)
+
+
+def test_small_weighted_sets_match_the_exhaustive_oracle_and_the_grid(monkeypatch):
+    # m <= d+1 weighted balls, a quarter of them with a repeated center (a
+    # singular G, so the far-pair loop decides): the min-max value matches
+    # the all-subsets closed form in any d, and the grid (d <= 3) never beats it
+    bases = _count_calls(monkeypatch, "_best_basis")
+    rng = np.random.default_rng(41)
+    first_round = fallback = 0
+    for trial in range(40):
+        d = 1 + trial % 6
+        m = int(rng.integers(2, d + 2))
+        C = rng.normal(size=(m, d))
+        if trial % 4 == 3:
+            C[1] = C[0]
+        R = rng.uniform(0.3, 2.0, size=m)
+        balls = CandidateBalls.from_balls([Ball(c, r) for c, r in zip(C, R)])
+        bases.clear()
+        _, value = solve_minmax(balls)
+        first_round, fallback = first_round + (not bases), fallback + bool(bases)
+        _, rho, _ = _all_subsets_basis(C, R, list(range(m)))
+        assert math.isclose(1.0 + value, rho, rel_tol=1e-9), trial
+        if d <= 3:
+            _, grid_value = grid_minmax(balls, resolution=40, zooms=12)
+            assert value <= grid_value + 1e-12 and grid_value <= value + 1e-3, trial
+    assert first_round >= 15 and fallback >= 15, (first_round, fallback)
 
 
 def test_unique_rows_matches_numpy_unique():

@@ -194,6 +194,12 @@ def test_relaxed_convex_examples():
     assert math.isclose(cert.achieved, 1.0) and cert.passed
 
 
+@pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf])
+def test_relaxed_convex_rejects_a_negative_or_non_finite_delta(delta):
+    with pytest.raises(InvalidParamsError, match="delta"):
+        check_relaxed_convex((0.5, 0.0), [(0.0, 0.0), (1.0, 0.0)], delta)
+
+
 def test_relaxed_convex_achieved_matches_dense_hull_max(rng):
     for _ in range(10):
         honest = random_cloud(rng, 6, 2)
@@ -213,6 +219,19 @@ def test_bias_bound_examples(rng):
     assert cert.passed and cert.achieved <= ball.radius + 1e-9
     cert = check_bias_bound(honest.mean(axis=0), honest, 1.0)
     assert cert.achieved <= 1e-12
+
+
+@pytest.mark.parametrize("c", [-3.0, math.nan, math.inf])
+def test_bias_bound_rejects_a_negative_or_non_finite_factor(c):
+    with pytest.raises(InvalidParamsError, match="c must be"):
+        check_bias_bound((0.5, 0.0), [(0.0, 0.0), (1.0, 0.0)], c)
+
+
+def test_bias_bound_accepts_a_factor_below_one():
+    # an achieved factor below 1 is checked as is: (0 + 1) * radius 0.5
+    honest = [(0.0, 0.0), (1.0, 0.0)]
+    assert check_bias_bound((1.0, 0.0), honest, 0.0).passed
+    assert not check_bias_bound((1.1, 0.0), honest, 0.0).passed
 
 
 def test_bias_bound_follows_c_meb(rng):
@@ -306,6 +325,21 @@ def test_theoretical_bound_errors():
     assert theoretical_bound("mda", 4, 2) == 1 + 4 / 2
 
 
+@pytest.mark.parametrize(
+    "rule, n, t, d",
+    [("medoid", 10, 2.5, None), ("mda", 10, True, None), ("mda", 10.0, 2, None),
+     ("minmax-meb", 10, 2, 2.5), ("minmax-meb", 10, 2, False)],
+    ids=["fractional-t", "bool-t", "float-n", "fractional-d", "bool-d"],
+)
+def test_theoretical_bound_rejects_counts_that_are_not_integers(rule, n, t, d):
+    with pytest.raises(InvalidParamsError, match="must be integers"):
+        theoretical_bound(rule, n, t, d)
+
+
+def test_theoretical_bound_accepts_numpy_integers():
+    assert theoretical_bound("mda", np.int64(5), np.int64(2)) == theoretical_bound("mda", 5, 2)
+
+
 # ---------------------------------------------------------------------------
 # region relations
 
@@ -376,6 +410,19 @@ def test_relation_sampling_sweeps(rng):
             honest = random_cloud(rng, int(rng.integers(2, 8)), int(rng.integers(1, 4)))
             report = relation_check(relation, honest, rng=rng)
             assert report.passed, (relation, report)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"c": -3.0}, {"c": math.nan}, {"c": math.inf},
+     {"delta": -1.0}, {"delta": math.nan}, {"delta": math.inf}],
+    ids=["c-negative", "c-nan", "c-inf", "delta-negative", "delta-nan", "delta-inf"],
+)
+def test_relation_check_rejects_a_negative_or_non_finite_parameter(kwargs):
+    honest = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    for relation in RELATIONS:
+        with pytest.raises(InvalidParamsError, match=next(iter(kwargs))):
+            relation_check(relation, honest, **kwargs)
 
 
 def test_relation_unknown_name():
