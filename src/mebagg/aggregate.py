@@ -11,7 +11,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,9 +48,38 @@ MAX_SUBSETS = 2_000_000
 # move to the search run slower there, so the price stays.
 _MEB_COST_IN_SUPPORTS = 500
 
+# Subset tables of at most this many indices are kept, at most _TABLES of
+# them: the cache then holds at most 64 x 16 384 x 8 bytes = 8 MB. The
+# worstcase bench shapes need 45 tables and the sweep ones 30; the largest
+# is C(16, 4) x 4 = 7 280 indices.
+_TABLE_ELEMS = _CHUNK_ELEMS // 4
+_TABLES = 64
+
+
+@lru_cache(maxsize=_TABLES)
+def _subset_table(n: int, k: int) -> np.ndarray:
+    """All C(n, k) k-subsets of range(n), one read-only row each, in
+    lexicographic order. It depends on (n, k) alone, so every call shares it."""
+    count = math.comb(n, k)
+    flat = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+                       np.intp, count * k)
+    table = flat.reshape(count, k)
+    table.setflags(write=False)
+    return table
+
 
 def _index_chunks(n: int, k: int, rows: int, combos=None):
-    """The k-subsets of range(n) in lexicographic order, or ``combos``, ``rows`` at a time."""
+    """The k-subsets of range(n) in lexicographic order, or ``combos``, ``rows`` at a time.
+
+    With no ``combos``, an (n, k) of at most ``_TABLE_ELEMS`` indices yields
+    read-only slices of its cached ``_subset_table``; a larger one, or
+    ``combos``, is built chunk by chunk, so memory stays bounded at any count.
+    """
+    if combos is None and math.comb(n, k) * k <= _TABLE_ELEMS:
+        table = _subset_table(n, k)
+        for i in range(0, len(table), rows):
+            yield table[i : i + rows]
+        return
     combos = itertools.combinations(range(n), k) if combos is None else iter(combos)
     while chunk := list(itertools.islice(combos, rows)):
         flat = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, len(chunk) * k)
@@ -186,6 +215,11 @@ def _check_fault_budget(n: int, t: int) -> None:
         raise InvalidFaultBudgetError(f"need an integer 0 <= t < n, got t={t!r}, n={n}")
 
 
+def _check_max_subsets(max_subsets: int) -> None:
+    if not (_is_int(max_subsets) and max_subsets >= 1):
+        raise InvalidParamsError(f"max_subsets must be an integer >= 1, got {max_subsets!r}")
+
+
 def _ball_keys(centers, radii) -> np.ndarray:
     """One row per ball, equal exactly when two balls count as the same:
     center and radius rounded to 12 decimals. Callers take the centers
@@ -261,7 +295,7 @@ def _support_balls(P: np.ndarray, m: int, found: list | None = None):
                 ok &= (beta >= -1e-12).all(axis=1) & (beta.sum(axis=1) <= 1.0 + 1e-12)
                 S, base, beta, V = S[ok], base[ok], beta[ok], V[ok]
                 c = base + np.einsum("si,sid->sd", beta, V)
-            r = np.linalg.norm(c - base, axis=1)
+            r = np.sqrt(np.add.reduce((c - base) ** 2, axis=1))  # norm(axis=1), unwrapped
             # direct distances: the Gram expansion loses coincident points
             diff = P[None, :, :] - c[:, None, :]
             reach = (1.0 + 1e-12) * r + slack
@@ -269,8 +303,9 @@ def _support_balls(P: np.ndarray, m: int, found: list | None = None):
             ok = covered.sum(axis=1) >= m
             if not ok.any():
                 continue
-            in_s = np.zeros((int(ok.sum()), n), dtype=bool)
-            np.put_along_axis(in_s, S[ok], True, axis=1)
+            S = S[ok]
+            in_s = np.zeros((len(S), n), dtype=bool)
+            in_s[np.arange(len(S))[:, None], S] = True
             extra = covered[ok] & ~in_s
             extra &= np.cumsum(extra, axis=1) <= m - k
             witnesses.append(np.nonzero(in_s | extra)[1].reshape(-1, m))
@@ -291,12 +326,14 @@ def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> Candid
     bound priced at ``_MEB_COST_IN_SUPPORTS``, the search (``_search_rows``)
     picks the few that can win, or about C(n, t) bases if they are many,
     with the same balls. ``TooManySubsetsError`` is raised only when the
-    supports and the C(n, t) subsets both exceed ``max_subsets``. Radii are
+    supports and the C(n, t) subsets both exceed ``max_subsets``, an integer
+    >= 1 (anything else is an ``InvalidParamsError``). Radii are
     realized covering radii over the witness, as ``meb`` reports them.
     """
     pts = as_points(points)
     n, d = pts.shape
     _check_fault_budget(n, t)
+    _check_max_subsets(max_subsets)
     m = n - t
     supports = sum(math.comb(n, k) for k in range(1, min(d + 1, m) + 1))
     subsets = math.comb(n, t)
@@ -350,12 +387,13 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
     ``_CHUNK_ELEMS`` pair distances, so memory stays bounded at any count.
     The walk skips every subset that holds a point with fewer than n-t-1
     others within an attained diameter, since no such subset can beat it;
-    ``max_subsets`` still caps all C(n, n-t) subsets, counted before
-    that pruning.
+    ``max_subsets`` (an integer >= 1) still caps all C(n, n-t) subsets,
+    counted before that pruning.
     """
     pts = as_points(points)
     n = pts.shape[0]
     _check_fault_budget(n, t)
+    _check_max_subsets(max_subsets)
     m = n - t
     count = math.comb(n, m)
     if count > max_subsets:

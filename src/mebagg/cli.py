@@ -6,6 +6,7 @@ import itertools
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -28,7 +29,7 @@ from .scenarios import (
     tangent_unit_balls,
 )
 from .validity import (
-    Certificate,
+    _certify,
     _check_factor,
     _tangent_minmax_value,
     check_bias_bound,
@@ -67,9 +68,9 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 @click.group()
-@click.option("--tol", type=float, default=1e-9, show_default=True, help="Numeric tolerance for pass/fail checks: length checks (convex, box, bias, c-meb on a single honest location) scale it by the honest points' extent; factor checks take it as is.")
+@click.option("--tol", type=float, default=1e-9, show_default=True, help="Numeric tolerance for pass/fail checks, finite and >= 0: length checks (convex, box, bias, c-meb on a single honest location) scale it by the honest points' extent; factor checks take it as is.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for randomized commands.")
-@click.option("--max-subsets", type=int, default=2_000_000, show_default=True, help="Cap on the support sets of candidate balls (past it only those a violator search picks are checked, or one basis per removable set when they pass it too, and they fail only when the C(n, t) subsets exceed it as well) and on the C(n, n-t) subsets of mda, counted before it prunes those that cannot beat an attained diameter.")
+@click.option("--max-subsets", type=click.IntRange(min=1), default=2_000_000, show_default=True, help="Cap on the support sets of candidate balls (past it only those a violator search picks are checked, or one basis per removable set when they pass it too, and they fail only when the C(n, t) subsets exceed it as well) and on the C(n, n-t) subsets of mda, counted before it prunes those that cannot beat an attained diameter.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True, help="Report format where both are supported.")
 @click.pass_context
@@ -153,12 +154,9 @@ def certify(ctx, input_path, y_text, faults, c_bound, ignore_labels):
             factor, worst = worst_designation(ps, faults, y, balls=balls)
             certificates = []
             if c_bound is not None:
-                # built directly: the designation stays as witness on a pass too
-                c_meb = Certificate(
-                    condition=f"c-meb(c={c_bound:g})",
-                    achieved=factor,
-                    bound=c_bound,
-                    passed=factor <= c_bound + ctx.obj["tol"],
+                # the designation stays as witness on a pass too
+                c_meb = replace(
+                    _certify(f"c-meb(c={c_bound:g})", factor, c_bound, ctx.obj["tol"], None),
                     witness=list(worst) if worst else None,
                 )
                 certificates.append(c_meb.to_dict())
@@ -178,7 +176,7 @@ def certify(ctx, input_path, y_text, faults, c_bound, ignore_labels):
         "wall_time_s": elapsed,
     }
     _emit(ctx, mio.report_json(report))
-    if c_bound is not None and factor > c_bound + ctx.obj["tol"]:
+    if c_bound is not None and not c_meb.passed:
         sys.exit(EXIT_CERTIFICATION_FAIL)
 
 
@@ -360,6 +358,7 @@ def bench(ctx, rules, n_list, t_list, d_list, seeds, spread, strategy):
     """Sweep seeded instances over an (n, t, d) grid and compare each rule's
     empirical worst factor to its proven bound."""
     try:
+        _check_factor(ctx.obj["tol"], "tol", 0.0)
         rule_names = [r.strip() for r in rules.split(",") if r.strip()]
         try:
             ns, ts, ds = ([int(v) for v in text.split(",")] for text in (n_list, t_list, d_list))

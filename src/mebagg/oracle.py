@@ -114,6 +114,13 @@ def grid_minmax(
     Searches the bounding box of the candidate centers inflated by the
     largest radius, then repeatedly re-grids around the incumbent. Returns
     (best point, unclamped value).
+
+    Its floor is about 1e-4 relative: each zoom re-grids only the box 3
+    cells either side of its incumbent, and along a valley where two ratios
+    tie the incumbent can sit many cells from the optimum, so the zoom loses
+    it. On random weighted sets of at most d+1 balls at d = 2 and 3 it stops
+    1e-5 to 1.3e-4 relative above the exact value (resolution 101, 20
+    zooms), so a check against it needs a tolerance of about 1e-3.
     """
     cb = CandidateBalls.from_balls(balls)
     C, R = cb.centers(), cb.radii()

@@ -54,8 +54,10 @@ class Certificate:
 def _certify(
     condition: str, achieved: float, bound: float, tol: float, witness, *, points=None
 ) -> Certificate:
-    """Pass iff achieved <= bound + tol. Given ``points``, achieved and
-    bound are lengths among them and tol scales with their extent (``_length_tol``)."""
+    """Pass iff achieved <= bound + tol, for a finite tol >= 0. Given ``points``,
+    achieved and bound are lengths among them and tol scales with their extent
+    (``_length_tol``)."""
+    _check_factor(tol, "tol", 0.0)
     if points is not None:
         tol = _length_tol(tol, points)
     passed = achieved <= bound + tol
@@ -91,7 +93,7 @@ def phi(y, ball: Ball) -> float:
 
 
 def _check_factor(value: float, name: str = "relaxation factor c", least: float = 1.0) -> None:
-    """Reject a factor (or slack) below ``least``, infinite, or NaN."""
+    """Reject a factor (or slack, or tolerance) below ``least``, infinite, or NaN."""
     if not least <= value < math.inf:
         raise InvalidParamsError(f"{name} must be >= {least:g} and finite, got {value}")
 
@@ -128,10 +130,11 @@ def safe_meb_value(y, balls: CandidateBalls) -> float:
 def safe_meb_empty(balls: CandidateBalls, *, tol: float = 1e-9) -> tuple[bool, float]:
     """Decide emptiness of the exact candidate-ball intersection.
 
-    Returns (empty, min-max value clamped at 0): a value above ``tol`` means
-    no point lies in every candidate ball. Zero-radius candidates with
-    distinct centers give (True, inf).
+    Returns (empty, min-max value clamped at 0): a value above ``tol``, a
+    finite tolerance >= 0, means no point lies in every candidate ball.
+    Zero-radius candidates with distinct centers give (True, inf).
     """
+    _check_factor(tol, "tol", 0.0)
     _, value = solve_minmax(balls)
     value = max(0.0, value)
     return value > tol, value
@@ -201,6 +204,8 @@ def theoretical_bound(rule: str, n: int, t: int, d: int | None = None) -> float:
 
     mda: 1 + 2t/(n-t); medoid: (3n-2t)/(n-2t); geomedian: 2(n-t)/(n-2t);
     minmax-meb: 1 + (k-1)/(k+1+sqrt(2(k+1)k)) with k = min(d, C(n, n-t)-1).
+    Every bound needs an honest majority: n <= 2t raises
+    ``ResilienceViolationError``, since no rule has a finite factor there.
     """
     if rule not in _BOUND_RULES:
         raise InvalidParamsError(
@@ -212,12 +217,12 @@ def theoretical_bound(rule: str, n: int, t: int, d: int | None = None) -> float:
         )
     if t < 0 or t >= n:
         raise InvalidParamsError(f"need 0 <= t < n, got n={n}, t={t}")
-    if rule == "mda":
-        return 1.0 + 2.0 * t / (n - t)
     if n <= 2 * t:
         raise ResilienceViolationError(
             f"{rule} guarantee needs an honest majority (n > 2t); got n={n}, t={t}"
         )
+    if rule == "mda":
+        return 1.0 + 2.0 * t / (n - t)
     if rule == "medoid":
         return (3.0 * n - 2.0 * t) / (n - 2.0 * t)
     if rule == "geomedian":
@@ -282,7 +287,7 @@ def relation_check(
         the hull lie within the (1 + 2*delta/diam) inflated ball; skipped if
         the honest set is a single location.
 
-    ``c`` and ``delta`` must be finite and >= 0. ``tol`` scales with the
+    ``c``, ``delta`` and ``tol`` must be finite and >= 0. ``tol`` scales with the
     honest extent (``geometry._length_tol``). The honest ball comes from a
     bounded, thread-safe memo keyed by value (``_honest_ball``), so the four
     relations on one honest set build it once.
@@ -292,6 +297,7 @@ def relation_check(
     _check_factor(c, "c", 0.0)
     if delta is not None:
         _check_factor(delta, "delta", 0.0)
+    _check_factor(tol, "tol", 0.0)
     pts = as_points(honest)
     if rng is None:
         rng = np.random.default_rng(0)

@@ -1,6 +1,8 @@
 import itertools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from mebagg import (
     DimensionMismatchError,
     EmptyInputError,
     InvalidFaultBudgetError,
+    InvalidParamsError,
     MebaggError,
     PointSet,
     ResilienceViolationError,
@@ -629,6 +632,94 @@ def test_candidate_ball_path_builds_no_ball(monkeypatch):
         exhaustive_factor(pts, t, y=y, balls=balls)
     assert built == []
     assert len(balls.balls) == len(balls) and built
+
+
+@pytest.mark.parametrize(
+    "max_subsets", [0, -5, 1.5, True, None], ids=["0", "-5", "1.5", "True", "None"]
+)
+def test_max_subsets_must_be_a_positive_integer(max_subsets):
+    pts = np.random.default_rng(4).normal(size=(6, 2))
+    for rule in (candidate_balls, mda, minmax_meb):
+        with pytest.raises(InvalidParamsError, match="max_subsets must be an integer >= 1"):
+            rule(pts, 1, max_subsets=max_subsets)
+    assert len(candidate_balls(pts, 1, max_subsets=np.int64(6))) > 0
+
+
+# ---------------------------------------------------------------------------
+# subset tables
+
+
+def _itertools_chunks(n, k, rows):
+    return list(aggregate._index_chunks(n, k, rows, itertools.combinations(range(n), k)))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10**6])
+def test_subset_table_chunks_match_itertools(rows):
+    for n in range(13):
+        for k in range(n + 1):
+            chunks = list(aggregate._index_chunks(n, k, rows))
+            reference = _itertools_chunks(n, k, rows)
+            assert [c.shape for c in chunks] == [c.shape for c in reference]
+            assert all(np.array_equal(a, b) for a, b in zip(chunks, reference))
+            flat = [tuple(r) for c in chunks for r in c.tolist()]
+            assert flat == list(itertools.combinations(range(n), k))
+
+
+def test_subset_tables_are_read_only_and_shared():
+    chunk = next(aggregate._index_chunks(9, 3, 5))
+    with pytest.raises(ValueError, match="read-only"):
+        chunk[0, 0] = 4
+    table = aggregate._subset_table(9, 3)
+    assert not table.flags.writeable and np.shares_memory(chunk, table)
+    assert aggregate._subset_table(9, 3) is table
+
+
+def test_subset_table_cache_is_bounded():
+    cache = aggregate._subset_table
+    # the stated bound: _TABLES tables of at most _TABLE_ELEMS indices, 8 MB
+    per_table = aggregate._TABLE_ELEMS * np.dtype(np.intp).itemsize
+    assert cache.cache_info().maxsize == aggregate._TABLES
+    assert aggregate._TABLES * per_table <= 8 * 2**20
+    cache.cache_clear()
+    # C(20, 5) x 5 = 77 520 indices is over the cap: built chunk by chunk, never cached
+    assert math.comb(20, 5) * 5 > aggregate._TABLE_ELEMS
+    chunks = list(aggregate._index_chunks(20, 5, 1000))
+    assert all(c.flags.writeable for c in chunks)
+    assert sum(map(len, chunks)) == math.comb(20, 5)
+    assert cache.cache_info().currsize == cache.cache_info().misses == 0
+    # more (n, k) than the cache holds, each at most the cap: it keeps _TABLES
+    shapes = [(n, k) for n in range(40) for k in range(1, n + 1)
+              if math.comb(n, k) * k <= aggregate._TABLE_ELEMS]
+    assert len(shapes) > 2 * aggregate._TABLES
+    for n, k in shapes:
+        assert sum(map(len, aggregate._index_chunks(n, k, 500))) == math.comb(n, k)
+        assert aggregate._subset_table(n, k).nbytes <= per_table
+    assert cache.cache_info().currsize == aggregate._TABLES
+
+
+def test_candidate_balls_from_four_threads_match_serial():
+    cases = [(random_instance(n, t, d, seed=s).points.points, t)
+             for s, (n, t, d) in enumerate([(12, 4, 2), (13, 4, 3), (9, 3, 5), (16, 5, 2)] * 3)]
+
+    def run(worker):
+        out = []
+        for pts, t in cases[worker::4]:
+            cb = candidate_balls(pts, t)
+            out.append((cb.center_array.tobytes(), cb.radius_array.tobytes(),
+                        cb.witness_array.tobytes()))
+        return out
+
+    aggregate._subset_table.cache_clear()
+    serial = [run(w) for w in range(4)]
+    aggregate._subset_table.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the table cache too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(run, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 # ---------------------------------------------------------------------------

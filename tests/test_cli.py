@@ -253,6 +253,35 @@ def test_certify_rejects_an_infinite_factor(runner, tmp_path, mode):
     assert result.output.startswith("error: relaxation factor c must be >= 1 and finite, got inf")
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [["certify", "--y=1,0", "-t", "1", "--c", "3"],
+     ["certify", "--y=1,0", "-t", "1", "--c", "3", "--ignore-labels"],
+     ["bench", "--rules", "medoid", "--n-list", "5", "--t-list", "1", "--seeds", "1"]],
+    ids=["labeled", "worst-case", "bench"],
+)
+def test_a_negative_or_non_finite_tol_is_rejected(runner, tmp_path, tol, command):
+    # at nan every certificate used to fail while certify exited 0
+    path = tmp_path / "p.csv"
+    path.write_text("0,0,honest\n2,0,honest\n9,9,byz\n")
+    if command[0] == "certify":
+        command = [command[0], str(path), *command[1:]]
+    result = runner.invoke(main, ["--tol", tol, *command])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"error: tol must be >= 0 and finite, got {float(tol)}")
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_max_subsets_below_one_is_rejected(runner, tmp_path, cap):
+    path = write_interval_csv(tmp_path)
+    result = runner.invoke(
+        main, ["--max-subsets", cap, "aggregate", str(path), "--rule", "minmax-meb", "-t", "1"]
+    )
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--max-subsets'" in result.output
+
+
 def test_scenario_tangent_balls_verify(runner):
     result = runner.invoke(main, ["scenario", "tangent-balls", "--k", "2", "--verify"])
     assert result.exit_code == 0, result.output
@@ -420,6 +449,15 @@ def test_bench_minmax_stays_below_sqrt2(runner):
     for row in json.loads(result.output)["rows"]:
         assert row["within_bound"]
         assert row["max_factor"] < math.sqrt(2) + 1e-6
+
+
+def test_bench_skips_mda_without_an_honest_majority(runner):
+    # mda has no finite bound at n <= 2t, as no rule has
+    result = runner.invoke(
+        main, ["bench", "--rules", "mda", "--n-list", "5", "--t-list", "3", "--d-list", "2"]
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["rows"] == []
 
 
 def test_bench_json_determinism(runner):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from mebagg import aggregate
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -44,3 +46,18 @@ def test_candidate_ball_workloads_run_traced(name, tmp_path):
         tracer.record_op(op_id, 0.0, 0.0, None)
     distinct = [s["distinct"] for s in tracer.spans if s["name"] == "aggregate.candidate_balls"]
     assert len(distinct) == 4 and all(isinstance(k, int) and k > 0 for k in distinct)
+
+
+def test_worstcase_ops_reuse_the_subset_tables(tmp_path):
+    # the index rows of a support size depend on (n, k) alone, so a second
+    # pass over the worstcase shapes builds no table again
+    spans, workloads = _load("spans"), _load("workloads")
+    workload, tracer = workloads.WORKLOADS["worstcase"], spans.Tracer()
+    lay = spans.Layers(tracer)
+    shapes = len(workloads.WORSTCASE_SHAPES)
+    aggregate._subset_table.cache_clear()
+    for op_id, inp in enumerate(workload.setup(7, tmp_path)[: 2 * shapes]):
+        assert workload.op(inp, lay)
+        tracer.record_op(op_id, 0.0, 0.0, None)
+    info = aggregate._subset_table.cache_info()
+    assert info.hits >= info.misses > 0

@@ -227,6 +227,23 @@ def test_bias_bound_rejects_a_negative_or_non_finite_factor(c):
         check_bias_bound((0.5, 0.0), [(0.0, 0.0), (1.0, 0.0)], c)
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_every_check_rejects_a_negative_or_non_finite_tol(tol):
+    honest, y = [(0.0, 0.0), (1.0, 0.0)], (0.5, 0.0)
+    checks = [
+        lambda: check_c_meb(y, honest, 2.0, tol=tol),
+        lambda: check_convex(y, honest, tol=tol),
+        lambda: check_box(y, honest, tol=tol),
+        lambda: check_relaxed_convex(y, honest, 1.0, tol=tol),
+        lambda: check_bias_bound(y, honest, 1.0, tol=tol),
+        lambda: safe_meb_empty(candidate_balls(honest, 0), tol=tol),
+        *(lambda rel=rel: relation_check(rel, honest, tol=tol) for rel in RELATIONS),
+    ]
+    for check in checks:
+        with pytest.raises(InvalidParamsError, match="tol must be >= 0 and finite"):
+            check()
+
+
 def test_bias_bound_accepts_a_factor_below_one():
     # an achieved factor below 1 is checked as is: (0 + 1) * radius 0.5
     honest = [(0.0, 0.0), (1.0, 0.0)]
@@ -321,8 +338,10 @@ def test_theoretical_bound_errors():
         theoretical_bound("geomedian", 6, 3)
     with pytest.raises(InvalidParamsError):
         theoretical_bound("mean", 5, 1)
-    # mda stays defined below honest majority
-    assert theoretical_bound("mda", 4, 2) == 1 + 4 / 2
+    # no rule has a finite factor without an honest majority: mda on honest
+    # (0,0), (1,0) and Byzantine (100,0), (100,1e-3) reaches 199 at t = 2
+    with pytest.raises(ResilienceViolationError):
+        theoretical_bound("mda", 4, 2)
 
 
 @pytest.mark.parametrize(
