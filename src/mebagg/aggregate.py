@@ -29,6 +29,7 @@ from .geometry import (
     _CHUNK_ELEMS,
     Ball,
     _full_rank,
+    _gram_solve,
     _length_tol,
     _one_center,
     _row_norms,
@@ -206,8 +207,9 @@ def _distance_matrix(pts: np.ndarray) -> np.ndarray:
 
 
 def _is_int(value) -> bool:
-    """Is value an integer (a numpy one counts), and not a bool?"""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """Is value an integer (a numpy one counts), and not a bool? A plain int
+    skips the abstract-class check, which costs about a microsecond."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _check_fault_budget(n: int, t: int) -> None:
@@ -289,9 +291,7 @@ def _support_balls(P: np.ndarray, m: int, found: list | None = None):
                 V = P[S[:, 1:]] - base[:, None, :]
                 G = V @ V.transpose(0, 2, 1)
                 b = 0.5 * np.einsum("sij,sij->si", V, V)
-                ok = _full_rank(G)
-                G[~ok] = np.eye(k - 1)
-                beta = np.linalg.solve(G, b[..., None])[..., 0]
+                ok, beta = _gram_solve(G, b)
                 ok &= (beta >= -1e-12).all(axis=1) & (beta.sum(axis=1) <= 1.0 + 1e-12)
                 S, base, beta, V = S[ok], base[ok], beta[ok], V[ok]
                 c = base + np.einsum("si,sid->sd", beta, V)
@@ -451,10 +451,15 @@ def geometric_median(
     lands on an input point, a subgradient optimality test either certifies
     it or steps off along the descent direction. Rank-deficient (collinear)
     inputs reduce to the 1-D median with the midpoint convention for even
-    counts, matching ``coordwise_median``.
+    counts, matching ``coordwise_median``. ``tol`` must be finite and >= 0,
+    and ``max_iter`` an integer >= 1.
     """
     pts = as_points(points)
     n, d = pts.shape
+    if not 0.0 <= tol < math.inf:
+        raise InvalidParamsError(f"tol must be >= 0 and finite, got {tol}")
+    if not (_is_int(max_iter) and max_iter >= 1):
+        raise InvalidParamsError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if n == 1:
         return AggregateResult(output=pts[0], rule="geomedian")
     # Weiszfeld in the extent's power-of-two unit (as ``_distance_matrix``): squares stay in range

@@ -315,6 +315,7 @@ def scenario(ctx, kind, config_path, emit_dir, verify, **options):
 
         passed, detail = (True, {})
         if verify:
+            _check_factor(ctx.obj["tol"], "tol", 0.0)
             passed, detail = _verify_scenario(
                 kind, inst, balls_obj, params, ctx.obj["tol"], ctx.obj["max_subsets"]
             )

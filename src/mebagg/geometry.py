@@ -112,8 +112,40 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _full_rank(G: np.ndarray):
     """Is the Gram matrix G, or each one of a batch, nonsingular, by the Hadamard
-    ratio det(G) / prod(G_ii): 1 for orthogonal rows, 0 for dependent ones."""
+    ratio det(G) / prod(G_ii): 1 for orthogonal rows, 0 for dependent ones.
+    ``_gram_solve`` applies the same bar to det(G) taken from its pivots."""
     return np.linalg.det(G) > G.shape[-1] * _EPS * np.multiply.reduce(G.diagonal(0, -2, -1), -1)
+
+
+def _gram_solve(G: np.ndarray, b: np.ndarray):
+    """(ok, x): x solves G x = b on each row of a batch of Gram matrices G
+    (s, k, k) with right-hand sides b (s, k), and ok is ``_full_rank(G)``.
+
+    One square-root-free Cholesky factor G = L D L^T for the whole batch
+    (Golub & Van Loan, Matrix Computations, 4.1-4.2): Gaussian elimination
+    without row exchanges, a column per step. Laid out (k, k, s), each matrix
+    entry is one contiguous length-s vector, so a step is numpy work over all
+    rows. det(G) is the product of the pivots D_jj, so a row is ok when each
+    one is positive and their product passes ``_full_rank``'s bar; a repeated
+    vector gives an exact zero pivot. A pivot that is not positive is replaced
+    by 1, so no NaN spreads; x is then meaningless on that row. Holds about
+    2 k^2 s floats.
+    """
+    s, k = b.shape
+    A, x = G.transpose(1, 2, 0).copy(), b.T.copy()
+    bar = k * _EPS * np.multiply.reduce(A.diagonal(0, 0, 1), 1)
+    piv = []
+    for j in range(k):
+        col = A[j:, j]  # the pivot D_jj, then row j of D L^T by symmetry
+        piv.append(np.where(col[0] > 0, col[0], 1.0))
+        if j + 1 < k:
+            lower = col[1:] / piv[j]
+            A[j + 1 :, j + 1 :] -= lower[:, None] * col[1:]
+            x[j + 1 :] -= lower * x[j]
+    for j in reversed(range(k)):
+        x[j] = (x[j] - np.einsum("is,is->s", A[j + 1 :, j], x[j + 1 :])) / piv[j]
+    D = A.diagonal(0, 0, 1)
+    return (D > 0).all(axis=1) & (np.multiply.reduce(D, 1) > bar), x.T
 
 
 def _closed_form(CW: np.ndarray, RW: np.ndarray, S: np.ndarray, slack: float):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregate import AggregateResult, CandidateBalls, RULES
+from .aggregate import AggregateResult, CandidateBalls, RULES, _is_int
 from .errors import InvalidParamsError, MebaggError
 from .geometry import Ball, _row_norms, meb, sample_in_ball
 from .pointset import BYZANTINE, HONEST, PointSet
@@ -105,9 +105,9 @@ def lower_bound_construction(d: int, t: int) -> ScenarioInstance:
     in R^d, which certifies emptiness down to t = 3. Below that the layout
     is still emitted but no emptiness claim attaches.
     """
-    if d < 2:
+    if not (_is_int(d) and d >= 2):
         raise InvalidParamsError(f"need d >= 2, got {d}")
-    if t < d - 1:
+    if not (_is_int(t) and t >= d - 1):
         raise InvalidParamsError(f"need t >= d - 1, got d={d}, t={t}")
     dim_eff = d if t >= d + 1 else min(d, max(2, t - 1))
     mult = max(1, t - dim_eff)
@@ -179,7 +179,7 @@ def medoid_counterexample(t: int, x: float) -> ScenarioInstance:
     (2,0) still wins the distance-sum race (see the regression tests for
     the crossover).
     """
-    if t < 4 or t % 2 != 0:
+    if not (_is_int(t) and t >= 4 and t % 2 == 0):
         raise InvalidParamsError(f"t must be an even integer >= 4, got {t}")
     pts, designations, balls = _street_scene(t // 2 - 1, t // 2, 2, x)
     spec = ScenarioSpec("medoid-ce", {"t": t, "x": x})
@@ -196,7 +196,7 @@ def gm_impossibility_instance(t: int, x: float = 10.0) -> ScenarioInstance:
     """n = 3t-3 instance whose geometric median approaches the equal-weights
     balance point of the three big clusters, at distance ~1.0857 from the
     nearest designation ball center."""
-    if t < 5:
+    if not (_is_int(t) and t >= 5):
         raise InvalidParamsError(f"t must be >= 5, got {t}")
     pts, designations, balls = _street_scene(1, t - 2, t - 2, x)
     balance = np.array([2.0, 1.0 - 1.0 / math.sqrt(3.0)])
@@ -218,7 +218,7 @@ def gm_convex_violation_instance(t: int) -> ScenarioInstance:
     """n = 3t+1 instance whose geometric median leaves the honest hull: the
     hull of any origin-plus-one-side designation is a segment, but the
     median sits strictly inside the triangle."""
-    if t < 2:
+    if not (_is_int(t) and t >= 2):
         raise InvalidParamsError(f"t must be >= 2, got {t}")
     pts, at = _clusters(
         [("origin", (0.0, 0.0), t + 1), ("right", (1.0, 0.0), t), ("top", (0.0, 1.0), t)]
@@ -235,7 +235,7 @@ def gm_convex_violation_instance(t: int) -> ScenarioInstance:
 def tangent_unit_balls(k: int) -> CandidateBalls:
     """k+1 mutually tangent unit balls in k dimensions: centers are the
     vertices of a regular simplex with edge 2, centered at the origin."""
-    if k < 2:
+    if not (_is_int(k) and k >= 2):
         raise InvalidParamsError(f"k must be >= 2, got {k}")
     lifted = np.eye(k + 1) * math.sqrt(2.0)
     lifted -= lifted.mean(axis=0)
@@ -281,7 +281,7 @@ def random_instance(
     rule's relaxation factor against the honest ball (random multi-start
     plus per-coordinate descent).
     """
-    if n < 1 or t < 0 or t >= n or d < 1 or spread <= 0:
+    if not (all(map(_is_int, (n, t, d))) and 0 <= t < n and d >= 1 and spread > 0):
         raise InvalidParamsError(
             f"invalid instance parameters n={n}, t={t}, d={d}, spread={spread}"
         )

@@ -192,6 +192,24 @@ def test_pairwise_rules_hold_memory_to_a_few_blocks():
         assert peak < 6 * pts.nbytes, peak
 
 
+def test_candidate_balls_hold_memory_to_a_few_chunks():
+    # A chunk of s = _CHUNK_ELEMS // (n d) supports of k <= 9 points holds
+    # their differences to every point (s n d <= _CHUNK_ELEMS floats) and
+    # their k-1 vectors (s (k-1) d); the Gram matrices, _gram_solve's copy
+    # of them and its update take (k-1)^2 s <= _CHUNK_ELEMS (k-1)/n each.
+    # A whole level of C(16, 8) = 12 870 supports at once would take about
+    # 22 chunks for the differences alone.
+    pts = np.random.default_rng(4).normal(size=(16, 11))
+    candidate_balls(pts, 7)  # the subset tables are a cache, bounded on their own
+    tracemalloc.start()
+    try:
+        candidate_balls(pts, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * aggregate._CHUNK_ELEMS, peak
+
+
 def test_distance_matrix_blocks_change_no_bit(monkeypatch):
     rng = np.random.default_rng(8)
     inputs = [rng.normal(size=(int(rng.integers(1, 20)), int(rng.integers(1, 9)))) * 10.0**e
@@ -333,6 +351,19 @@ def test_gm_iteration_cap_raises():
     pts = np.array([(0.0, 0.0), (3.0, 1.0), (1.0, 4.0), (-2.0, 2.0)])
     with pytest.raises(NonConvergenceError):
         geometric_median(pts, max_iter=2, tol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": math.inf}, {"tol": math.nan}, {"tol": -1.0},
+     {"max_iter": 0}, {"max_iter": -3}, {"max_iter": True}, {"max_iter": 2.5}],
+    ids=["tol-inf", "tol-nan", "tol-negative", "iter-0", "iter-negative", "iter-bool", "iter-float"],
+)
+def test_gm_rejects_a_bad_tol_or_iteration_cap(kwargs):
+    # tol=inf used to stop after one Weiszfeld step; a bad cap ran and raised NonConvergenceError
+    pts = np.array([(0.0, 0.0), (3.0, 1.0), (1.0, 4.0), (-2.0, 2.0)])
+    with pytest.raises(InvalidParamsError):
+        geometric_median(pts, **kwargs)
 
 
 # ---------------------------------------------------------------------------

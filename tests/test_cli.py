@@ -258,11 +258,13 @@ def test_certify_rejects_an_infinite_factor(runner, tmp_path, mode):
     "command",
     [["certify", "--y=1,0", "-t", "1", "--c", "3"],
      ["certify", "--y=1,0", "-t", "1", "--c", "3", "--ignore-labels"],
-     ["bench", "--rules", "medoid", "--n-list", "5", "--t-list", "1", "--seeds", "1"]],
-    ids=["labeled", "worst-case", "bench"],
+     ["bench", "--rules", "medoid", "--n-list", "5", "--t-list", "1", "--seeds", "1"],
+     ["scenario", "lower-bound", "--d", "2", "-t", "2", "--verify"]],
+    ids=["labeled", "worst-case", "bench", "scenario"],
 )
 def test_a_negative_or_non_finite_tol_is_rejected(runner, tmp_path, tol, command):
-    # at nan every certificate used to fail while certify exited 0
+    # at nan every certificate used to fail while certify exited 0, and
+    # scenario --verify replaced a negative tol with 1e-9
     path = tmp_path / "p.csv"
     path.write_text("0,0,honest\n2,0,honest\n9,9,byz\n")
     if command[0] == "certify":

@@ -391,6 +391,35 @@ def test_unique_rows_matches_numpy_unique():
         assert np.array_equal(first, expected_first)
 
 
+def test_gram_solve_matches_full_rank_and_lapack():
+    # every other row is singular on purpose: a repeated point, a collinear
+    # triple a, a + u, a + 2u, or all points coincident, half of each kind at
+    # offset 1e3; dyadic coordinates keep these exactly singular
+    rng = np.random.default_rng(11)
+    for k in range(2, 10):
+        P = rng.normal(size=(300, k, k + 1))
+        for r in range(0, 300, 2):
+            a = rng.integers(-8, 9, size=k + 1) / 8 + (1e3 if r % 4 == 0 else 0.0)
+            u = rng.integers(1, 9, size=k + 1) / 8
+            kind, idx = r // 2 % 3, rng.permutation(k)
+            if kind == 0:
+                P[r, idx[:2]] = a
+            elif kind == 1 and k >= 3:
+                P[r, idx[:3]] = a, a + u, a + 2 * u
+            else:
+                P[r] = a
+        V = P[:, 1:] - P[:, :1]
+        G = V @ V.transpose(0, 2, 1)
+        b = 0.5 * np.einsum("sij,sij->si", V, V)
+        ok, x = mebagg.geometry._gram_solve(G, b)
+        assert np.array_equal(ok, mebagg.geometry._full_rank(G))
+        assert not ok[::2].any() and ok[1::2].all()
+        want = np.linalg.solve(G[ok], b[ok][..., None])[..., 0]
+        err = np.linalg.norm(x[ok] - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert err.max() <= 1e-10, (k, err.max())
+        assert np.isfinite(x).all()
+
+
 def test_meb_is_bit_identical_under_row_permutations():
     rng = np.random.default_rng(6)
     for _ in range(20):

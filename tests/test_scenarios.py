@@ -237,6 +237,20 @@ def test_random_instance_param_validation():
         random_instance(5, 1, 2, seed=0, strategy="nope")
 
 
+@pytest.mark.parametrize(
+    ("make", "args"),
+    [(random_instance, (6, 1.5, 2)), (random_instance, (6, 1, 2.0)), (random_instance, (6.0, 1, 2)),
+     (random_instance, (6, True, 2)), (lower_bound_construction, (2.5, 3)),
+     (lower_bound_construction, (2, 3.0)), (tangent_unit_balls, (2.0,)),
+     (medoid_counterexample, (6.0, 10.0)), (gm_impossibility_instance, (5.0,)),
+     (gm_convex_violation_instance, (2.5,))],
+)
+def test_generators_reject_counts_that_are_not_integers(make, args):
+    # these ended in a bare TypeError, and random_instance ran t=True as t=1
+    with pytest.raises(InvalidParamsError):
+        make(*args)
+
+
 def test_attack_search_beats_honest_ball_on_medoid():
     # searched placements should push the medoid outside the honest ball on
     # at least half the seeds
