@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -36,7 +36,7 @@ from .geometry import (
     _spread_exp,
     _unique_rows,
 )
-from .pointset import as_points, as_vector
+from .pointset import _is_int, as_points, as_vector
 
 MAX_SUBSETS = 2_000_000
 
@@ -49,42 +49,53 @@ MAX_SUBSETS = 2_000_000
 # move to the search run slower there, so the price stays.
 _MEB_COST_IN_SUPPORTS = 500
 
-# Subset tables of at most this many indices are kept, at most _TABLES of
-# them: the cache then holds at most 64 x 16 384 x 8 bytes = 8 MB. The
-# worstcase bench shapes need 45 tables and the sweep ones 30; the largest
-# is C(16, 4) x 4 = 7 280 indices.
+# At most _TABLES subset tables of at most _TABLE_ELEMS indices are kept, 8 MB
+# in all; the worstcase bench shapes need 16 tables and the sweep ones 17.
 _TABLE_ELEMS = _CHUNK_ELEMS // 4
 _TABLES = 64
 
 
+def _build(n: int, sizes, rows: int, combos=None):
+    """The k-subsets of range(n) for k in ``sizes``, size-major and each
+    lexicographic, or ``combos``, as arrays of ``rows`` rows, each padded to
+    the largest size by repeating its first index."""
+    K = sizes[-1]
+    if combos is None:
+        combos = itertools.chain.from_iterable(itertools.combinations(range(n), k) for k in sizes)
+    while chunk := list(itertools.islice(combos, rows)):
+        flat = itertools.chain.from_iterable(S + S[:1] * (K - len(S)) for S in chunk)
+        yield np.fromiter(flat, np.intp, len(chunk) * K).reshape(len(chunk), K)
+
+
 @lru_cache(maxsize=_TABLES)
-def _subset_table(n: int, k: int) -> np.ndarray:
-    """All C(n, k) k-subsets of range(n), one read-only row each, in
-    lexicographic order. It depends on (n, k) alone, so every call shares it."""
-    count = math.comb(n, k)
-    flat = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-                       np.intp, count * k)
-    table = flat.reshape(count, k)
+def _subset_table(n: int, sizes: tuple[int, ...]) -> np.ndarray:
+    """``_build(n, sizes)`` as one read-only array, which every call shares."""
+    table = next(_build(n, sizes, sum(math.comb(n, k) for k in sizes)))
     table.setflags(write=False)
     return table
 
 
-def _index_chunks(n: int, k: int, rows: int, combos=None):
-    """The k-subsets of range(n) in lexicographic order, or ``combos``, ``rows`` at a time.
-
-    With no ``combos``, an (n, k) of at most ``_TABLE_ELEMS`` indices yields
-    read-only slices of its cached ``_subset_table``; a larger one, or
-    ``combos``, is built chunk by chunk, so memory stays bounded at any count.
-    """
-    if combos is None and math.comb(n, k) * k <= _TABLE_ELEMS:
-        table = _subset_table(n, k)
-        for i in range(0, len(table), rows):
-            yield table[i : i + rows]
-        return
-    combos = itertools.combinations(range(n), k) if combos is None else iter(combos)
-    while chunk := list(itertools.islice(combos, rows)):
-        flat = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, len(chunk) * k)
-        yield flat.reshape(len(chunk), k)
+def _index_chunks(n: int, sizes, rows, found=None):
+    """The rows of ``_build(n, sizes)``, or of ``found`` (sorted by size,
+    then lexicographically), in chunks of at most ``rows(K)`` rows of
+    width K: whole sizes share a chunk while they fit, and a size that does
+    not is chunked alone. A table of at most ``_TABLE_ELEMS`` indices is
+    sliced from the cache; a larger one, or ``found``, is built chunk by
+    chunk, so memory stays bounded at any count."""
+    counts = Counter(map(len, found)) if found is not None else {k: math.comb(n, k) for k in sizes}
+    runs = []  # each chunk's sizes, and their count
+    for k, count in counts.items():
+        if runs and runs[-1][1] + count <= rows(k):
+            runs[-1] = (runs[-1][0] + (k,), runs[-1][1] + count)
+        else:
+            runs.append(((k,), count))
+    rest = None if found is None else iter(found)
+    for ks, count in runs:
+        r = rows(ks[-1])
+        if found is None and count * ks[-1] <= _TABLE_ELEMS:
+            yield from (_subset_table(n, ks)[i : i + r] for i in range(0, count, r))
+        else:
+            yield from _build(n, ks, r, rest and itertools.islice(rest, count))
 
 
 @dataclass(frozen=True)
@@ -206,12 +217,6 @@ def _distance_matrix(pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _is_int(value) -> bool:
-    """Is value an integer (a numpy one counts), and not a bool? A plain int
-    skips the abstract-class check, which costs about a microsecond."""
-    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
-
-
 def _check_fault_budget(n: int, t: int) -> None:
     if not (_is_int(t) and 0 <= t < n):
         raise InvalidFaultBudgetError(f"need an integer 0 <= t < n, got t={t!r}, n={n}")
@@ -280,37 +285,40 @@ def _support_balls(P: np.ndarray, m: int, found: list | None = None):
     """
     n, d = P.shape
     slack = 1e-12 * float(np.abs(P).max())
-    rows = max(1, _CHUNK_ELEMS // (n * d))
     centers, radii, witnesses = [], [], []
-    for k in range(1, min(d + 1, m) + 1):
-        for S in _index_chunks(n, k, rows, found and [S for S in found if len(S) == k]):
-            base = P[S[:, 0]]
-            c = base
-            if k > 1:
-                # circumcenter c = base + V^T beta with G beta = |v_i|^2 / 2
-                V = P[S[:, 1:]] - base[:, None, :]
-                G = V @ V.transpose(0, 2, 1)
-                b = 0.5 * np.einsum("sij,sij->si", V, V)
-                ok, beta = _gram_solve(G, b)
-                ok &= (beta >= -1e-12).all(axis=1) & (beta.sum(axis=1) <= 1.0 + 1e-12)
-                S, base, beta, V = S[ok], base[ok], beta[ok], V[ok]
-                c = base + np.einsum("si,sid->sd", beta, V)
-            r = np.sqrt(np.add.reduce((c - base) ** 2, axis=1))  # norm(axis=1), unwrapped
-            # direct distances: the Gram expansion loses coincident points
-            diff = P[None, :, :] - c[:, None, :]
-            reach = (1.0 + 1e-12) * r + slack
-            covered = np.einsum("snd,snd->sn", diff, diff) <= (reach * reach)[:, None]
-            ok = covered.sum(axis=1) >= m
-            if not ok.any():
-                continue
-            S = S[ok]
-            in_s = np.zeros((len(S), n), dtype=bool)
-            in_s[np.arange(len(S))[:, None], S] = True
-            extra = covered[ok] & ~in_s
-            extra &= np.cumsum(extra, axis=1) <= m - k
-            witnesses.append(np.nonzero(in_s | extra)[1].reshape(-1, m))
-            centers.append(c[ok])
-            radii.append(r[ok])
+    # a chunk's differences to every point and its K-1 vectors: (n + K - 1) d floats a row
+    rows = lambda K: max(1, _CHUNK_ELEMS // ((n + K - 1) * d))
+    for S in _index_chunks(n, range(1, min(d + 1, m) + 1), rows, found):
+        c = base = P[S[:, 0]]
+        K, size = S.shape[1], np.full(len(S), S.shape[1])
+        if K > 1:
+            if S[0, 0] == S[0, -1]:
+                # padded, sizes rising: column j holds the first index on the first pad[j - 1] rows
+                pad = [int(np.argmin(S[:, j] == S[:, 0])) for j in range(1, K)]
+                size = np.repeat(range(1, K + 1), np.diff([0, *pad, len(S)]))
+            # circumcenter c = base + V^T beta with G beta = |v_i|^2 / 2
+            V = P[S[:, 1:]] - base[:, None, :]
+            b = 0.5 * np.einsum("sij,sij->si", V, V)
+            ok, beta = _gram_solve(V @ V.transpose(0, 2, 1), b, size - 1)
+            ok &= (beta >= -1e-12).all(axis=1) & (beta.sum(axis=1) <= 1.0 + 1e-12)
+            S, base, beta, V, size = S[ok], base[ok], beta[ok], V[ok], size[ok]
+            c = base + np.einsum("si,sid->sd", beta, V)
+        r = np.sqrt(np.add.reduce((c - base) ** 2, axis=1))  # norm(axis=1), unwrapped
+        # direct distances: the Gram expansion loses coincident points
+        diff = P[None, :, :] - c[:, None, :]
+        reach = (1.0 + 1e-12) * r + slack
+        covered = np.einsum("snd,snd->sn", diff, diff) <= (reach * reach)[:, None]
+        ok = covered.sum(axis=1) >= m
+        if not ok.any():
+            continue
+        S = S[ok]
+        in_s = np.zeros((len(S), n), dtype=bool)
+        in_s[np.arange(len(S))[:, None], S] = True
+        extra = covered[ok] & ~in_s
+        extra &= np.cumsum(extra, axis=1) <= (m - size[ok])[:, None]
+        witnesses.append(np.nonzero(in_s | extra)[1].reshape(-1, m))
+        centers.append(c[ok])
+        radii.append(r[ok])
     if not centers:
         raise NonConvergenceError("no support set passed its enclosing-ball checks")
     return np.concatenate(centers), np.concatenate(radii), np.concatenate(witnesses)
@@ -418,7 +426,7 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
             partners -= close[:, drop].sum(axis=1)
         core = np.flatnonzero(alive)
         pair_rows, pair_cols = np.triu_indices(m, k=1)
-        for subs in _index_chunks(core.size, m, max(1, _CHUNK_ELEMS // pair_rows.size)):
+        for subs in _index_chunks(core.size, (m,), lambda K: max(1, _CHUNK_ELEMS // pair_rows.size)):
             subs = core[subs]
             diams = dmat[subs[:, pair_rows], subs[:, pair_cols]].max(axis=1)
             idx = int(np.argmin(diams))

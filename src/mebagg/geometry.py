@@ -18,7 +18,7 @@ from .errors import (
     MebaggError,
     NonConvergenceError,
 )
-from .pointset import as_points, as_vector
+from .pointset import _is_int, as_points, as_vector
 
 HULL_MAX_ITER = 10_000
 _EPS = float(np.finfo(float).eps)
@@ -117,33 +117,37 @@ def _full_rank(G: np.ndarray):
     return np.linalg.det(G) > G.shape[-1] * _EPS * np.multiply.reduce(G.diagonal(0, -2, -1), -1)
 
 
-def _gram_solve(G: np.ndarray, b: np.ndarray):
+def _gram_solve(G: np.ndarray, b: np.ndarray, dims: np.ndarray):
     """(ok, x): x solves G x = b on each row of a batch of Gram matrices G
-    (s, k, k) with right-hand sides b (s, k), and ok is ``_full_rank(G)``.
+    (s, k, k) with right-hand sides b (s, k), and ok is ``_full_rank`` of each
+    row's leading block of non-decreasing ``dims``, past which G is 0 or I and b 0.
 
     One square-root-free Cholesky factor G = L D L^T for the whole batch
     (Golub & Van Loan, Matrix Computations, 4.1-4.2): Gaussian elimination
     without row exchanges, a column per step. Laid out (k, k, s), each matrix
-    entry is one contiguous length-s vector, so a step is numpy work over all
-    rows. det(G) is the product of the pivots D_jj, so a row is ok when each
-    one is positive and their product passes ``_full_rank``'s bar; a repeated
-    vector gives an exact zero pivot. A pivot that is not positive is replaced
-    by 1, so no NaN spreads; x is then meaningless on that row. Holds about
-    2 k^2 s floats.
-    """
-    s, k = b.shape
+    entry is one contiguous length-s vector, so step j is numpy work over all
+    rows with dims > j, from lo[j] on. det(G) is the product of the pivots
+    D_jj, so a row is ok when each one is positive and their product passes
+    ``_full_rank``'s bar; a repeated vector gives an exact zero pivot. A pivot
+    that is not positive is replaced by 1, so no NaN spreads; x is then
+    meaningless on that row. Holds about 2 k^2 s floats."""
+    k = b.shape[1]
     A, x = G.transpose(1, 2, 0).copy(), b.T.copy()
-    bar = k * _EPS * np.multiply.reduce(A.diagonal(0, 0, 1), 1)
+    del G  # a G passed as a temporary is freed now, before the factor's arrays
+    lo = np.searchsorted(dims, range(k), "right").tolist() if dims[0] < k else [0] * k
+    for j, r in enumerate(lo):
+        A[j, j, :r] = 1.0  # a unit pivot past a row's dims
+    bar = dims * _EPS * np.multiply.reduce(A.diagonal(0, 0, 1), 1)
     piv = []
-    for j in range(k):
-        col = A[j:, j]  # the pivot D_jj, then row j of D L^T by symmetry
+    for j, r in enumerate(lo):
+        col = A[j:, j, r:]  # the pivot D_jj, then row j of D L^T by symmetry
         piv.append(np.where(col[0] > 0, col[0], 1.0))
         if j + 1 < k:
             lower = col[1:] / piv[j]
-            A[j + 1 :, j + 1 :] -= lower[:, None] * col[1:]
-            x[j + 1 :] -= lower * x[j]
-    for j in reversed(range(k)):
-        x[j] = (x[j] - np.einsum("is,is->s", A[j + 1 :, j], x[j + 1 :])) / piv[j]
+            A[j + 1 :, j + 1 :, r:] -= lower[:, None] * col[1:]
+            x[j + 1 :, r:] -= lower * x[j, r:]
+    for j, r in reversed(list(enumerate(lo))):
+        x[j, r:] = (x[j, r:] - np.einsum("is,is->s", A[j + 1 :, j, r:], x[j + 1 :, r:])) / piv[j]
     D = A.diagonal(0, 0, 1)
     return (D > 0).all(axis=1) & (np.multiply.reduce(D, 1) > bar), x.T
 
@@ -408,8 +412,8 @@ def soddy_inner_bend(bends, k: int, *, root: str = "inner") -> float:
     either ``root`` choice.
     """
     b = np.asarray(list(bends), dtype=float)
-    if k < 1:
-        raise MebaggError(f"k must be >= 1, got {k}")
+    if not (_is_int(k) and k >= 1):
+        raise MebaggError(f"k must be an integer >= 1, got {k!r}")
     if b.size != k + 1:
         raise DimensionMismatchError(f"expected {k + 1} bends for k={k}, got {b.size}")
     if np.any(b <= 0) or not np.all(np.isfinite(b)):

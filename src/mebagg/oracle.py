@@ -17,7 +17,7 @@ import numpy as np
 
 from .aggregate import CandidateBalls, _check_fault_budget, candidate_balls
 from .errors import InstanceTooLargeError, MebaggError
-from .geometry import Ball, _length_tol, meb
+from .geometry import _EPS, Ball, _length_tol, meb
 from .pointset import as_points
 
 BRUTEFORCE_MAX_N = 12
@@ -172,10 +172,11 @@ def exhaustive_factor(points, t: int, *, y, balls: CandidateBalls | None = None)
 def worst_designation(
     points, t: int, y, *, balls: CandidateBalls | None = None
 ) -> tuple[float, tuple[int, ...] | None]:
-    """The exhaustive factor of y and the witness subset of the ball that
-    attains it (None when the balls carry no subsets)."""
+    """The exhaustive factor of y and the witness of the first ball, in witness order, whose
+    ratio is within 16 eps of it (None without subsets), so that ulps do not pick among ties."""
     if balls is None:
         balls = candidate_balls(points, t)
     ratios, W = balls.ratios(y), balls.witness_array
-    idx = int(np.argmax(ratios))
-    return float(ratios[idx]), None if W is None else tuple(W[idx].tolist())
+    top = ratios.max()
+    idx = int(np.argmax(ratios >= top * (1.0 - 16 * _EPS)))
+    return float(top), None if W is None else tuple(W[idx].tolist())

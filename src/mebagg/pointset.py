@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,3 +100,8 @@ def as_vector(data, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.size != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {v.size}")
     return v
+
+
+def _is_int(value) -> bool:
+    """Is value an integer (numpy ones count) but not a bool? Plain ints skip the ABC check."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))

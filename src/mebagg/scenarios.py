@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregate import AggregateResult, CandidateBalls, RULES, _is_int
+from .aggregate import AggregateResult, CandidateBalls, RULES
 from .errors import InvalidParamsError, MebaggError
 from .geometry import Ball, _row_norms, meb, sample_in_ball
-from .pointset import BYZANTINE, HONEST, PointSet
+from .pointset import BYZANTINE, HONEST, PointSet, _is_int
 
 ATTACK_STARTS = 200
 ATTACK_DESCENT_ROUNDS = 8
@@ -61,8 +61,8 @@ def lower_bound_geometry(dim: int) -> dict:
     point. Row i of ``unit_centers``, ``meet_points`` and ``antipodes``
     belongs to unit ball i."""
     D = dim
-    if D < 2:
-        raise InvalidParamsError("construction needs dimension >= 2")
+    if not (_is_int(D) and D >= 2):
+        raise InvalidParamsError(f"construction needs an integer dimension >= 2, got {D!r}")
     q = np.full(D, 1.0 / math.sqrt(D * (D - 1)))
     unit_centers = math.sqrt(D / (D - 1)) * np.eye(D)
     meet = ((math.sqrt(D) + 1) / (D - 1) ** 1.5) * (1.0 - np.eye(D))

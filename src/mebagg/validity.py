@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .aggregate import CandidateBalls, _is_int, solve_minmax
+from .aggregate import CandidateBalls, solve_minmax
 from .errors import (
     InvalidParamsError,
     ResilienceViolationError,
@@ -23,7 +23,7 @@ from .geometry import (
     Ball, _length_tol, _row_norms, diameter, dist_to_ball, dist_to_hull, meb, sample_in_ball,
     trusted_box,
 )
-from .pointset import as_points, as_vector
+from .pointset import _is_int, as_points, as_vector
 
 ABS_TOL = 1e-9
 

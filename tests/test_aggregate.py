@@ -210,6 +210,39 @@ def test_candidate_balls_hold_memory_to_a_few_chunks():
     assert peak < 3 * 8 * aggregate._CHUNK_ELEMS, peak
 
 
+def test_support_sizes_share_a_chunk_and_one_factor(monkeypatch):
+    # n = 12, d = 4, t = 3 has 12 + 66 + 220 + 495 + 792 = 1585 supports.
+    # Sizes 1-4 (793 rows) fit one chunk of width 4 and size 5 fills its
+    # own, so the factor runs twice where a chunk per size ran it 4 times.
+    chunks, solves = [], []
+    index_chunks, gram_solve = aggregate._index_chunks, aggregate._gram_solve
+
+    def counting_chunks(*args):
+        for S in index_chunks(*args):
+            chunks.append(S)
+            yield S
+
+    def counting_solve(G, b, dims):
+        solves.append((G.shape[1], int(dims.max())))
+        return gram_solve(G, b, dims)
+
+    pts = random_instance(12, 3, 4, seed=1).points.points
+    monkeypatch.setattr(aggregate, "_index_chunks", counting_chunks)
+    monkeypatch.setattr(aggregate, "_gram_solve", counting_solve)
+    shared = candidate_balls(pts, 3)
+    assert sum(map(len, chunks)) == 1585
+    assert len(solves) == len(chunks) <= 2
+    # no chunk is wider than its largest support, the size of its last row
+    for S in chunks:
+        assert len(set(S[-1].tolist())) == S.shape[1]
+    assert all(width == dims for width, dims in solves)
+    # one-row chunks carry no padding, and give the same balls bit for bit
+    monkeypatch.setattr(aggregate, "_CHUNK_ELEMS", 5)
+    alone = candidate_balls(pts, 3)
+    for name in ("center_array", "radius_array", "witness_array"):
+        assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes()
+
+
 def test_distance_matrix_blocks_change_no_bit(monkeypatch):
     rng = np.random.default_rng(8)
     inputs = [rng.normal(size=(int(rng.integers(1, 20)), int(rng.integers(1, 9)))) * 10.0**e
@@ -681,14 +714,14 @@ def test_max_subsets_must_be_a_positive_integer(max_subsets):
 
 
 def _itertools_chunks(n, k, rows):
-    return list(aggregate._index_chunks(n, k, rows, itertools.combinations(range(n), k)))
+    return list(aggregate._index_chunks(n, (k,), lambda K: rows, list(itertools.combinations(range(n), k))))
 
 
 @pytest.mark.parametrize("rows", [1, 7, 10**6])
 def test_subset_table_chunks_match_itertools(rows):
     for n in range(13):
         for k in range(n + 1):
-            chunks = list(aggregate._index_chunks(n, k, rows))
+            chunks = list(aggregate._index_chunks(n, (k,), lambda K: rows))
             reference = _itertools_chunks(n, k, rows)
             assert [c.shape for c in chunks] == [c.shape for c in reference]
             assert all(np.array_equal(a, b) for a, b in zip(chunks, reference))
@@ -697,12 +730,12 @@ def test_subset_table_chunks_match_itertools(rows):
 
 
 def test_subset_tables_are_read_only_and_shared():
-    chunk = next(aggregate._index_chunks(9, 3, 5))
+    chunk = next(aggregate._index_chunks(9, (3,), lambda K: 5))
     with pytest.raises(ValueError, match="read-only"):
         chunk[0, 0] = 4
-    table = aggregate._subset_table(9, 3)
+    table = aggregate._subset_table(9, (3,))
     assert not table.flags.writeable and np.shares_memory(chunk, table)
-    assert aggregate._subset_table(9, 3) is table
+    assert aggregate._subset_table(9, (3,)) is table
 
 
 def test_subset_table_cache_is_bounded():
@@ -714,7 +747,7 @@ def test_subset_table_cache_is_bounded():
     cache.cache_clear()
     # C(20, 5) x 5 = 77 520 indices is over the cap: built chunk by chunk, never cached
     assert math.comb(20, 5) * 5 > aggregate._TABLE_ELEMS
-    chunks = list(aggregate._index_chunks(20, 5, 1000))
+    chunks = list(aggregate._index_chunks(20, (5,), lambda K: 1000))
     assert all(c.flags.writeable for c in chunks)
     assert sum(map(len, chunks)) == math.comb(20, 5)
     assert cache.cache_info().currsize == cache.cache_info().misses == 0
@@ -723,8 +756,8 @@ def test_subset_table_cache_is_bounded():
               if math.comb(n, k) * k <= aggregate._TABLE_ELEMS]
     assert len(shapes) > 2 * aggregate._TABLES
     for n, k in shapes:
-        assert sum(map(len, aggregate._index_chunks(n, k, 500))) == math.comb(n, k)
-        assert aggregate._subset_table(n, k).nbytes <= per_table
+        assert sum(map(len, aggregate._index_chunks(n, (k,), lambda K: 500))) == math.comb(n, k)
+        assert aggregate._subset_table(n, (k,)).nbytes <= per_table
     assert cache.cache_info().currsize == aggregate._TABLES
 
 

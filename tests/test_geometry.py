@@ -396,6 +396,7 @@ def test_gram_solve_matches_full_rank_and_lapack():
     # triple a, a + u, a + 2u, or all points coincident, half of each kind at
     # offset 1e3; dyadic coordinates keep these exactly singular
     rng = np.random.default_rng(11)
+    batches = {0: (np.zeros((300, 0, 0)), np.zeros((300, 0)))}
     for k in range(2, 10):
         P = rng.normal(size=(300, k, k + 1))
         for r in range(0, 300, 2):
@@ -411,13 +412,40 @@ def test_gram_solve_matches_full_rank_and_lapack():
         V = P[:, 1:] - P[:, :1]
         G = V @ V.transpose(0, 2, 1)
         b = 0.5 * np.einsum("sij,sij->si", V, V)
-        ok, x = mebagg.geometry._gram_solve(G, b)
+        batches[k - 1] = G, b
+        ok, x = mebagg.geometry._gram_solve(G, b, np.full(300, k - 1))
         assert np.array_equal(ok, mebagg.geometry._full_rank(G))
         assert not ok[::2].any() and ok[1::2].all()
         want = np.linalg.solve(G[ok], b[ok][..., None])[..., 0]
         err = np.linalg.norm(x[ok] - want, axis=1) / np.linalg.norm(want, axis=1)
         assert err.max() <= 1e-10, (k, err.max())
         assert np.isfinite(x).all()
+    # mixed sizes, sorted by size and padded with identity or zero blocks (the
+    # Gram entries of zero vectors, as the support kernel pads): each row's
+    # leading block must factor bit for bit as it does unpadded, and its
+    # padding must solve to 0
+    for trial in range(20):
+        dims = np.sort(rng.choice(list(batches), size=int(rng.integers(2, 6)), replace=False))
+        take = {g: rng.permutation(300)[: int(rng.choice([1, 2, 37, 300]))] for g in dims}
+        K = dims[-1]
+        G, b, rows = [], [], []
+        for g in dims:
+            Gg, bg = batches[g][0][take[g]], batches[g][1][take[g]]
+            pad = np.tile(np.eye(K) * (trial % 2), (len(Gg), 1, 1))
+            pad[:, :g, :g] = Gg
+            G.append(pad)
+            b.append(np.pad(bg, ((0, 0), (0, K - g))))
+            rows.append(np.full(len(Gg), g))
+        ok, x = mebagg.geometry._gram_solve(np.concatenate(G), np.concatenate(b), np.concatenate(rows))
+        at = 0
+        for g in dims:
+            Gg, bg = batches[g][0][take[g]], batches[g][1][take[g]]
+            alone = mebagg.geometry._gram_solve(Gg, bg, np.full(len(Gg), g))
+            assert np.array_equal(ok[at : at + len(Gg)], alone[0])
+            assert np.array_equal(ok[at : at + len(Gg)], mebagg.geometry._full_rank(Gg))
+            assert np.array_equal(x[at : at + len(Gg), :g], alone[1])
+            assert not x[at : at + len(Gg), g:].any()
+            at += len(Gg)
 
 
 def test_meb_is_bit_identical_under_row_permutations():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mebagg import (
+    CandidateBalls,
     InstanceTooLargeError,
     InvalidFaultBudgetError,
     candidate_balls,
@@ -13,6 +14,7 @@ from mebagg import (
     meb,
     meb_bruteforce,
     mean_aggregate,
+    medoid,
     medoid_counterexample,
     minmax_meb,
     solve_minmax,
@@ -148,3 +150,21 @@ def test_worst_designation_reports_subset():
     factor, subset = worst_designation(inst.points, 4, medoid_point)
     assert factor >= math.sqrt(5) - 1e-9
     assert subset is not None and len(subset) == inst.points.n - 4
+
+
+def test_worst_designation_witness_survives_ulp_moves():
+    # the medoid 2 of the points 0..4 lies on the spheres of the witnesses
+    # (0, 1, 2) and (2, 3, 4), both at ratio 1; moving the centers by a few
+    # ulps must not hand the witness to whichever ratio rounds ahead
+    pts = np.arange(5.0)[:, None]
+    y = medoid(pts).output
+    cb = candidate_balls(pts, 2)
+    assert worst_designation(pts, 2, y, balls=cb) == (1.0, (0, 1, 2))
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        ulps = rng.integers(-4, 5, size=cb.center_array.shape)
+        moved = CandidateBalls(cb.center_array + ulps * np.spacing(cb.center_array),
+                               cb.radius_array, cb.witness_array)
+        factor, witness = worst_designation(pts, 2, y, balls=moved)
+        assert witness == (0, 1, 2)
+        assert factor == moved.ratios(y).max()

@@ -49,8 +49,8 @@ def test_candidate_ball_workloads_run_traced(name, tmp_path):
 
 
 def test_worstcase_ops_reuse_the_subset_tables(tmp_path):
-    # the index rows of a support size depend on (n, k) alone, so a second
-    # pass over the worstcase shapes builds no table again
+    # the index rows of a run of support sizes depend on n and the sizes
+    # alone, so a second pass over the worstcase shapes builds no table again
     spans, workloads = _load("spans"), _load("workloads")
     workload, tracer = workloads.WORKLOADS["worstcase"], spans.Tracer()
     lay = spans.Layers(tracer)

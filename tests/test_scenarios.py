@@ -5,6 +5,7 @@ import pytest
 
 from mebagg import (
     InvalidParamsError,
+    MebaggError,
     PointSet,
     candidate_balls,
     exhaustive_factor,
@@ -16,6 +17,7 @@ from mebagg import (
     medoid_counterexample,
     random_instance,
     safe_meb_empty,
+    soddy_inner_bend,
     tangent_unit_balls,
 )
 from mebagg.scenarios import lower_bound_geometry
@@ -249,6 +251,17 @@ def test_generators_reject_counts_that_are_not_integers(make, args):
     # these ended in a bare TypeError, and random_instance ran t=True as t=1
     with pytest.raises(InvalidParamsError):
         make(*args)
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.0, True])
+def test_dimensions_must_be_integers(dim):
+    # soddy_inner_bend asked for 3.5 bends at 2.5, and lower_bound_geometry
+    # ended in a bare TypeError from np.full
+    with pytest.raises(MebaggError, match="k must be an integer >= 1"):
+        soddy_inner_bend([1.0] * 4, dim)
+    with pytest.raises(InvalidParamsError, match="integer dimension >= 2"):
+        lower_bound_geometry(dim)
+    assert soddy_inner_bend([1.0] * 3, np.int64(2)) == soddy_inner_bend([1.0] * 3, 2)
 
 
 def test_attack_search_beats_honest_ball_on_medoid():
