@@ -77,9 +77,9 @@ def _subset_table(n: int, sizes: tuple[int, ...]) -> np.ndarray:
 
 def _index_chunks(n: int, sizes, rows, found=None):
     """The rows of ``_build(n, sizes)``, or of ``found`` (sorted by size,
-    then lexicographically), in chunks of at most ``rows(K)`` rows of
-    width K: whole sizes share a chunk while they fit, and a size that does
-    not is chunked alone. A table of at most ``_TABLE_ELEMS`` indices is
+    then lexicographically; ``sizes`` is then unused), in chunks of at most
+    ``rows(K)`` rows of width K: whole sizes share a chunk while they fit,
+    and a size that does not is chunked alone. A table of at most ``_TABLE_ELEMS`` indices is
     sliced from the cache; a larger one, or ``found``, is built chunk by
     chunk, so memory stays bounded at any count."""
     counts = Counter(map(len, found)) if found is not None else {k: math.comb(n, k) for k in sizes}
@@ -95,7 +95,7 @@ def _index_chunks(n: int, sizes, rows, found=None):
         if found is None and count * ks[-1] <= _TABLE_ELEMS:
             yield from (_subset_table(n, ks)[i : i + r] for i in range(0, count, r))
         else:
-            yield from _build(n, ks, r, rest and itertools.islice(rest, count))
+            yield from _build(n, ks, r, None if found is None else itertools.islice(rest, count))
 
 
 @dataclass(frozen=True)
@@ -290,12 +290,8 @@ def _support_balls(P: np.ndarray, m: int, found: list | None = None):
     rows = lambda K: max(1, _CHUNK_ELEMS // ((n + K - 1) * d))
     for S in _index_chunks(n, range(1, min(d + 1, m) + 1), rows, found):
         c = base = P[S[:, 0]]
-        K, size = S.shape[1], np.full(len(S), S.shape[1])
-        if K > 1:
-            if S[0, 0] == S[0, -1]:
-                # padded, sizes rising: column j holds the first index on the first pad[j - 1] rows
-                pad = [int(np.argmin(S[:, j] == S[:, 0])) for j in range(1, K)]
-                size = np.repeat(range(1, K + 1), np.diff([0, *pad, len(S)]))
+        size = 1 + (S[:, 1:] != S[:, :1]).sum(axis=1)  # a padded column repeats the first index
+        if S.shape[1] > 1:
             # circumcenter c = base + V^T beta with G beta = |v_i|^2 / 2
             V = P[S[:, 1:]] - base[:, None, :]
             b = 0.5 * np.einsum("sij,sij->si", V, V)

@@ -133,8 +133,7 @@ def _gram_solve(G: np.ndarray, b: np.ndarray, dims: np.ndarray):
     meaningless on that row. Holds about 2 k^2 s floats."""
     k = b.shape[1]
     A, x = G.transpose(1, 2, 0).copy(), b.T.copy()
-    del G  # a G passed as a temporary is freed now, before the factor's arrays
-    lo = np.searchsorted(dims, range(k), "right").tolist() if dims[0] < k else [0] * k
+    lo = np.searchsorted(dims, range(k), "right").tolist()
     for j, r in enumerate(lo):
         A[j, j, :r] = 1.0  # a unit pivot past a row's dims
     bar = dims * _EPS * np.multiply.reduce(A.diagonal(0, 0, 1), 1)

@@ -193,10 +193,10 @@ def test_pairwise_rules_hold_memory_to_a_few_blocks():
 
 
 def test_candidate_balls_hold_memory_to_a_few_chunks():
-    # A chunk of s = _CHUNK_ELEMS // (n d) supports of k <= 9 points holds
-    # their differences to every point (s n d <= _CHUNK_ELEMS floats) and
-    # their k-1 vectors (s (k-1) d); the Gram matrices, _gram_solve's copy
-    # of them and its update take (k-1)^2 s <= _CHUNK_ELEMS (k-1)/n each.
+    # A chunk of width K <= 9 holds s = _CHUNK_ELEMS // ((n + K - 1) d)
+    # supports: their differences to every point and their K-1 vectors take
+    # s (n + K - 1) d <= _CHUNK_ELEMS floats; the Gram matrices, _gram_solve's
+    # copy of them and its update take (K-1)^2 s <= _CHUNK_ELEMS (K-1)/n each.
     # A whole level of C(16, 8) = 12 870 supports at once would take about
     # 22 chunks for the differences alone.
     pts = np.random.default_rng(4).normal(size=(16, 11))
