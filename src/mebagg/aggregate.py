@@ -36,7 +36,7 @@ from .geometry import (
     _spread_exp,
     _unique_rows,
 )
-from .pointset import _is_int, as_points, as_vector
+from .pointset import _count, _real, as_points, as_vector
 
 MAX_SUBSETS = 2_000_000
 
@@ -217,16 +217,6 @@ def _distance_matrix(pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_fault_budget(n: int, t: int) -> None:
-    if not (_is_int(t) and 0 <= t < n):
-        raise InvalidFaultBudgetError(f"need an integer 0 <= t < n, got t={t!r}, n={n}")
-
-
-def _check_max_subsets(max_subsets: int) -> None:
-    if not (_is_int(max_subsets) and max_subsets >= 1):
-        raise InvalidParamsError(f"max_subsets must be an integer >= 1, got {max_subsets!r}")
-
-
 def _ball_keys(centers, radii) -> np.ndarray:
     """One row per ball, equal exactly when two balls count as the same:
     center and radius rounded to 12 decimals. Callers take the centers
@@ -336,8 +326,8 @@ def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> Candid
     """
     pts = as_points(points)
     n, d = pts.shape
-    _check_fault_budget(n, t)
-    _check_max_subsets(max_subsets)
+    t = _count(t, "t", 0, n, InvalidFaultBudgetError)
+    max_subsets = _count(max_subsets, "max_subsets", 1)
     m = n - t
     supports = sum(math.comb(n, k) for k in range(1, min(d + 1, m) + 1))
     subsets = math.comb(n, t)
@@ -373,6 +363,7 @@ def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> Candid
 def mean_aggregate(points, t: int = 0) -> AggregateResult:
     """Arithmetic mean of all points (no robustness, baseline)."""
     pts = as_points(points)
+    _count(t, "t", 0, len(pts), InvalidFaultBudgetError)
     return AggregateResult(output=pts.mean(axis=0), rule="mean")
 
 
@@ -380,6 +371,7 @@ def coordwise_median(points, t: int = 0) -> AggregateResult:
     """Per-coordinate median; even counts take the midpoint of the two
     central order statistics (unanalyzed baseline)."""
     pts = as_points(points)
+    _count(t, "t", 0, len(pts), InvalidFaultBudgetError)
     return AggregateResult(output=np.median(pts, axis=0), rule="coordmedian")
 
 
@@ -396,8 +388,8 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
     """
     pts = as_points(points)
     n = pts.shape[0]
-    _check_fault_budget(n, t)
-    _check_max_subsets(max_subsets)
+    t = _count(t, "t", 0, n, InvalidFaultBudgetError)
+    max_subsets = _count(max_subsets, "max_subsets", 1)
     m = n - t
     count = math.comb(n, m)
     if count > max_subsets:
@@ -440,6 +432,7 @@ def medoid(points, t: int = 0) -> AggregateResult:
     """Input point minimizing the total distance to all inputs; ties go to
     the lowest index."""
     pts = as_points(points)
+    _count(t, "t", 0, len(pts), InvalidFaultBudgetError)
     dmat = _distance_matrix(pts)
     sums = dmat.sum(axis=1)
     idx = int(np.argmin(sums))
@@ -460,10 +453,9 @@ def geometric_median(
     """
     pts = as_points(points)
     n, d = pts.shape
-    if not 0.0 <= tol < math.inf:
-        raise InvalidParamsError(f"tol must be >= 0 and finite, got {tol}")
-    if not (_is_int(max_iter) and max_iter >= 1):
-        raise InvalidParamsError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    _count(t, "t", 0, n, InvalidFaultBudgetError)
+    tol = _real(tol, "tol")
+    max_iter = _count(max_iter, "max_iter", 1)
     if n == 1:
         return AggregateResult(output=pts[0], rule="geomedian")
     # Weiszfeld in the extent's power-of-two unit (as ``_distance_matrix``): squares stay in range
@@ -578,6 +570,7 @@ def minmax_meb(
     """
     pts = as_points(points)
     n = pts.shape[0]
+    t = _count(t, "t", 0, n, InvalidFaultBudgetError)
     if n <= 2 * t and not allow_low_resilience:
         raise ResilienceViolationError(
             f"minmax rule needs n > 2t for its guarantee (n={n}, t={t}); "

@@ -14,10 +14,10 @@ import numpy as np
 
 from . import io as mio
 from .aggregate import RULES, CandidateBalls, candidate_balls, run_rule, solve_minmax
-from .errors import MebaggError, ParseError, ResilienceViolationError, VALIDATION_ERRORS
+from .errors import InvalidFaultBudgetError, MebaggError, ParseError, ResilienceViolationError, VALIDATION_ERRORS
 from .geometry import _row_norms, meb
 from .oracle import worst_designation
-from .pointset import as_vector
+from .pointset import _count, _real, as_vector
 from .scenarios import (
     STRATEGIES,
     ScenarioSpec,
@@ -30,7 +30,6 @@ from .scenarios import (
 )
 from .validity import (
     _certify,
-    _check_factor,
     _tangent_minmax_value,
     check_bias_bound,
     check_box,
@@ -69,7 +68,7 @@ def _parse_vector(text: str) -> np.ndarray:
 
 @click.group()
 @click.option("--tol", type=float, default=1e-9, show_default=True, help="Numeric tolerance for pass/fail checks, finite and >= 0: length checks (convex, box, bias, c-meb on a single honest location) scale it by the honest points' extent; factor checks take it as is.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for randomized commands.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Seed for randomized commands.")
 @click.option("--max-subsets", type=click.IntRange(min=1), default=2_000_000, show_default=True, help="Cap on the support sets of candidate balls (past it only those a violator search picks are checked, or one basis per removable set when they pass it too, and they fail only when the C(n, t) subsets exceed it as well) and on the C(n, n-t) subsets of mda, counted before it prunes those that cannot beat an attained diameter.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True, help="Report format where both are supported.")
@@ -131,8 +130,8 @@ def certify(ctx, input_path, y_text, faults, c_bound, ignore_labels):
     try:
         ps = mio.load_points(input_path)
         y = _parse_vector(y_text)
-        if c_bound is not None:
-            _check_factor(c_bound)
+        _count(faults, "t", 0, ps.n, InvalidFaultBudgetError)
+        c_bound = None if c_bound is None else _real(c_bound, "relaxation factor c", 1.0)
         start = time.perf_counter()
         if ps.labels is not None and not ignore_labels:
             honest = ps.honest_points()
@@ -315,7 +314,7 @@ def scenario(ctx, kind, config_path, emit_dir, verify, **options):
 
         passed, detail = (True, {})
         if verify:
-            _check_factor(ctx.obj["tol"], "tol", 0.0)
+            _real(ctx.obj["tol"], "tol")
             passed, detail = _verify_scenario(
                 kind, inst, balls_obj, params, ctx.obj["tol"], ctx.obj["max_subsets"]
             )
@@ -351,7 +350,7 @@ def _csv_cell(key: str, value) -> str:
 @click.option("--n-list", default="6,9,12", show_default=True)
 @click.option("--t-list", default="1,2", show_default=True)
 @click.option("--d-list", default="2,3", show_default=True)
-@click.option("--seeds", type=int, default=20, show_default=True, help="Instances per grid cell.")
+@click.option("--seeds", type=click.IntRange(min=1), default=20, show_default=True, help="Instances per grid cell.")
 @click.option("--spread", type=float, default=1.0, show_default=True)
 @click.option("--strategy", type=click.Choice(["uniform-far", "cluster"]), default="uniform-far", show_default=True)
 @click.pass_context
@@ -359,7 +358,7 @@ def bench(ctx, rules, n_list, t_list, d_list, seeds, spread, strategy):
     """Sweep seeded instances over an (n, t, d) grid and compare each rule's
     empirical worst factor to its proven bound."""
     try:
-        _check_factor(ctx.obj["tol"], "tol", 0.0)
+        _real(ctx.obj["tol"], "tol")
         rule_names = [r.strip() for r in rules.split(",") if r.strip()]
         try:
             ns, ts, ds = ([int(v) for v in text.split(",")] for text in (n_list, t_list, d_list))

@@ -18,7 +18,7 @@ from .errors import (
     MebaggError,
     NonConvergenceError,
 )
-from .pointset import _is_int, as_points, as_vector
+from .pointset import _count, as_points, as_vector
 
 HULL_MAX_ITER = 10_000
 _EPS = float(np.finfo(float).eps)
@@ -343,6 +343,7 @@ def dist_to_hull(y, points, *, max_iter: int = HULL_MAX_ITER, return_witness: bo
     """
     pts = as_points(points)
     v = as_vector(y, pts.shape[1])
+    max_iter = _count(max_iter, "max_iter", 1)
     # a power-of-two scale keeps the Gram matrix near the unit row, without rounding
     e = _spread_exp(pts - v)
     P = np.ldexp(pts - v, -e)
@@ -411,8 +412,7 @@ def soddy_inner_bend(bends, k: int, *, root: str = "inner") -> float:
     either ``root`` choice.
     """
     b = np.asarray(list(bends), dtype=float)
-    if not (_is_int(k) and k >= 1):
-        raise MebaggError(f"k must be an integer >= 1, got {k!r}")
+    k = _count(k, "k", 1, error=MebaggError)
     if b.size != k + 1:
         raise DimensionMismatchError(f"expected {k + 1} bends for k={k}, got {b.size}")
     if np.any(b <= 0) or not np.all(np.isfinite(b)):

@@ -15,10 +15,10 @@ import math
 
 import numpy as np
 
-from .aggregate import CandidateBalls, _check_fault_budget, candidate_balls
-from .errors import InstanceTooLargeError, MebaggError
+from .aggregate import CandidateBalls, candidate_balls
+from .errors import InstanceTooLargeError, InvalidFaultBudgetError, MebaggError
 from .geometry import _EPS, Ball, _length_tol, meb
-from .pointset import as_points
+from .pointset import _count, as_points
 
 BRUTEFORCE_MAX_N = 12
 BRUTEFORCE_MAX_D = 4
@@ -93,7 +93,7 @@ def candidate_balls_bruteforce(points, t: int) -> CandidateBalls:
     """
     pts = as_points(points)
     n = pts.shape[0]
-    _check_fault_budget(n, t)
+    t = _count(t, "t", 0, n, InvalidFaultBudgetError)
     if math.comb(n, t) > BRUTEFORCE_MAX_SUBSETS:
         raise InstanceTooLargeError(
             f"brute-force candidate balls capped at {BRUTEFORCE_MAX_SUBSETS} subsets; "
@@ -122,13 +122,13 @@ def grid_minmax(
     1e-5 to 1.3e-4 relative above the exact value (resolution 101, 20
     zooms), so a check against it needs a tolerance of about 1e-3.
     """
+    resolution = _count(resolution, "resolution", 2, error=MebaggError)
+    zooms = _count(zooms, "zooms", 1)
     cb = CandidateBalls.from_balls(balls)
     C, R = cb.centers(), cb.radii()
     B, d = C.shape
     if d > GRID_MAX_D:
         raise InstanceTooLargeError(f"grid search capped at d<={GRID_MAX_D}, got d={d}")
-    if resolution < 2:
-        raise MebaggError("resolution must be >= 2")
     if resolution**d > GRID_MAX_CELLS:
         raise InstanceTooLargeError(
             f"{resolution}^{d} grid cells exceed the cap of {GRID_MAX_CELLS}"
@@ -174,6 +174,7 @@ def worst_designation(
 ) -> tuple[float, tuple[int, ...] | None]:
     """The exhaustive factor of y and the witness of the first ball, in witness order, whose
     ratio is within 16 eps of it (None without subsets), so that ulps do not pick among ties."""
+    _count(t, "t", 0, len(as_points(points)), InvalidFaultBudgetError)
     if balls is None:
         balls = candidate_balls(points, t)
     ratios, W = balls.ratios(y), balls.witness_array

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyInputError, MebaggError
+from .errors import DimensionMismatchError, EmptyInputError, InvalidParamsError, MebaggError
 
 HONEST = "honest"
 BYZANTINE = "byz"
@@ -102,6 +102,19 @@ def as_vector(data, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def _is_int(value) -> bool:
-    """Is value an integer (numpy ones count) but not a bool? Plain ints skip the ABC check."""
-    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+def _count(value, name: str, floor: int = 0, bound: int | None = None, error=InvalidParamsError) -> int:
+    """``value`` as an int: an integer (numpy ones count, a bool does not) >= ``floor``
+    and, given ``bound``, < ``bound``; else ``error``. Plain ints skip the slow ABC check."""
+    integer = type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    if not (integer and floor <= value and (bound is None or value < bound)):
+        below = "" if bound is None else f" and < {bound}"
+        raise error(f"{name} must be an integer >= {floor}{below}, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str, floor: float = 0.0) -> float:
+    """``value`` as a float: a real number, not a bool, >= ``floor`` and finite."""
+    real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    if not (real and floor <= value < np.inf):
+        raise InvalidParamsError(f"{name} must be >= {floor:g} and finite, got {value}")
+    return float(value)

@@ -15,7 +15,7 @@ import numpy as np
 from .aggregate import AggregateResult, CandidateBalls, RULES
 from .errors import InvalidParamsError, MebaggError
 from .geometry import Ball, _row_norms, meb, sample_in_ball
-from .pointset import BYZANTINE, HONEST, PointSet, _is_int
+from .pointset import BYZANTINE, HONEST, PointSet, _count, _real
 
 ATTACK_STARTS = 200
 ATTACK_DESCENT_ROUNDS = 8
@@ -60,9 +60,7 @@ def lower_bound_geometry(dim: int) -> dict:
     pinned to the pairwise meeting points, chosen to exclude the common
     point. Row i of ``unit_centers``, ``meet_points`` and ``antipodes``
     belongs to unit ball i."""
-    D = dim
-    if not (_is_int(D) and D >= 2):
-        raise InvalidParamsError(f"construction needs an integer dimension >= 2, got {D!r}")
+    D = _count(dim, "dimension", 2)
     q = np.full(D, 1.0 / math.sqrt(D * (D - 1)))
     unit_centers = math.sqrt(D / (D - 1)) * np.eye(D)
     meet = ((math.sqrt(D) + 1) / (D - 1) ** 1.5) * (1.0 - np.eye(D))
@@ -105,10 +103,8 @@ def lower_bound_construction(d: int, t: int) -> ScenarioInstance:
     in R^d, which certifies emptiness down to t = 3. Below that the layout
     is still emitted but no emptiness claim attaches.
     """
-    if not (_is_int(d) and d >= 2):
-        raise InvalidParamsError(f"need d >= 2, got {d}")
-    if not (_is_int(t) and t >= d - 1):
-        raise InvalidParamsError(f"need t >= d - 1, got d={d}, t={t}")
+    d = _count(d, "d", 2)
+    t = _count(t, "t", d - 1)
     dim_eff = d if t >= d + 1 else min(d, max(2, t - 1))
     mult = max(1, t - dim_eff)
     geo = lower_bound_geometry(dim_eff)
@@ -179,7 +175,7 @@ def medoid_counterexample(t: int, x: float) -> ScenarioInstance:
     (2,0) still wins the distance-sum race (see the regression tests for
     the crossover).
     """
-    if not (_is_int(t) and t >= 4 and t % 2 == 0):
+    if _count(t, "t", 4) % 2:
         raise InvalidParamsError(f"t must be an even integer >= 4, got {t}")
     pts, designations, balls = _street_scene(t // 2 - 1, t // 2, 2, x)
     spec = ScenarioSpec("medoid-ce", {"t": t, "x": x})
@@ -196,8 +192,7 @@ def gm_impossibility_instance(t: int, x: float = 10.0) -> ScenarioInstance:
     """n = 3t-3 instance whose geometric median approaches the equal-weights
     balance point of the three big clusters, at distance ~1.0857 from the
     nearest designation ball center."""
-    if not (_is_int(t) and t >= 5):
-        raise InvalidParamsError(f"t must be >= 5, got {t}")
+    t = _count(t, "t", 5)
     pts, designations, balls = _street_scene(1, t - 2, t - 2, x)
     balance = np.array([2.0, 1.0 - 1.0 / math.sqrt(3.0)])
     spec = ScenarioSpec("gm-impossibility", {"t": t, "x": x})
@@ -218,8 +213,7 @@ def gm_convex_violation_instance(t: int) -> ScenarioInstance:
     """n = 3t+1 instance whose geometric median leaves the honest hull: the
     hull of any origin-plus-one-side designation is a segment, but the
     median sits strictly inside the triangle."""
-    if not (_is_int(t) and t >= 2):
-        raise InvalidParamsError(f"t must be >= 2, got {t}")
+    t = _count(t, "t", 2)
     pts, at = _clusters(
         [("origin", (0.0, 0.0), t + 1), ("right", (1.0, 0.0), t), ("top", (0.0, 1.0), t)]
     )
@@ -235,8 +229,7 @@ def gm_convex_violation_instance(t: int) -> ScenarioInstance:
 def tangent_unit_balls(k: int) -> CandidateBalls:
     """k+1 mutually tangent unit balls in k dimensions: centers are the
     vertices of a regular simplex with edge 2, centered at the origin."""
-    if not (_is_int(k) and k >= 2):
-        raise InvalidParamsError(f"k must be >= 2, got {k}")
+    k = _count(k, "k", 2)
     lifted = np.eye(k + 1) * math.sqrt(2.0)
     lifted -= lifted.mean(axis=0)
     _, _, vt = np.linalg.svd(np.ones((1, k + 1)))
@@ -281,13 +274,15 @@ def random_instance(
     rule's relaxation factor against the honest ball (random multi-start
     plus per-coordinate descent).
     """
-    if not (all(map(_is_int, (n, t, d))) and 0 <= t < n and d >= 1 and spread > 0):
-        raise InvalidParamsError(
-            f"invalid instance parameters n={n}, t={t}, d={d}, spread={spread}"
-        )
+    n = _count(n, "n", 1)
+    t = _count(t, "t", 0, n)
+    d = _count(d, "d", 1)
+    if _real(spread, "spread") == 0:
+        raise InvalidParamsError(f"spread must be > 0, got {spread}")
+    _count(attack_starts, "attack_starts")
     if strategy not in STRATEGIES:
         raise InvalidParamsError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed"))
     honest = np.array([sample_in_ball(rng, d, spread) for _ in range(n - t)])
     if t == 0:
         byz = np.zeros((0, d))

@@ -23,7 +23,7 @@ from .geometry import (
     Ball, _length_tol, _row_norms, diameter, dist_to_ball, dist_to_hull, meb, sample_in_ball,
     trusted_box,
 )
-from .pointset import _is_int, as_points, as_vector
+from .pointset import _count, _real, as_points, as_vector
 
 ABS_TOL = 1e-9
 
@@ -57,7 +57,7 @@ def _certify(
     """Pass iff achieved <= bound + tol, for a finite tol >= 0. Given ``points``,
     achieved and bound are lengths among them and tol scales with their extent
     (``_length_tol``)."""
-    _check_factor(tol, "tol", 0.0)
+    tol = _real(tol, "tol")
     if points is not None:
         tol = _length_tol(tol, points)
     passed = achieved <= bound + tol
@@ -92,12 +92,6 @@ def phi(y, ball: Ball) -> float:
     return dist_to_ball(y, ball) / ball.radius
 
 
-def _check_factor(value: float, name: str = "relaxation factor c", least: float = 1.0) -> None:
-    """Reject a factor (or slack, or tolerance) below ``least``, infinite, or NaN."""
-    if not least <= value < math.inf:
-        raise InvalidParamsError(f"{name} must be >= {least:g} and finite, got {value}")
-
-
 def check_c_meb(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificate:
     """Is y within c times the honest enclosing-ball radius of its center?
 
@@ -107,7 +101,7 @@ def check_c_meb(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificate:
     otherwise. The honest ball comes from a bounded, thread-safe memo keyed
     by value (``_honest_ball``).
     """
-    _check_factor(c)
+    c = _real(c, "relaxation factor c", 1.0)
     pts = as_points(honest)
     ball = _honest_ball(pts)
     v = as_vector(y, ball.dim)
@@ -134,7 +128,7 @@ def safe_meb_empty(balls: CandidateBalls, *, tol: float = 1e-9) -> tuple[bool, f
     finite tolerance >= 0, means no point lies in every candidate ball.
     Zero-radius candidates with distinct centers give (True, inf).
     """
-    _check_factor(tol, "tol", 0.0)
+    tol = _real(tol, "tol")
     _, value = solve_minmax(balls)
     value = max(0.0, value)
     return value > tol, value
@@ -170,7 +164,7 @@ def check_relaxed_convex(y, honest, delta: float, *, tol: float = ABS_TOL) -> Ce
     The hull maximum of the distance is attained at a vertex, so it equals
     the maximum over the honest points themselves.
     """
-    _check_factor(delta, "delta", 0.0)
+    delta = _real(delta, "delta")
     pts = as_points(honest)
     v = as_vector(y, pts.shape[1])
     dists = _row_norms(pts - v)
@@ -187,7 +181,7 @@ def check_bias_bound(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificat
     Any finite c >= 0 is accepted, so an achieved factor below 1 can be
     checked. The honest ball comes from a bounded, thread-safe memo keyed by
     value (``_honest_ball``)."""
-    _check_factor(c, "c", 0.0)
+    c = _real(c, "c")
     pts = as_points(honest)
     v = as_vector(y, pts.shape[1])
     ball = _honest_ball(pts)
@@ -203,7 +197,8 @@ def theoretical_bound(rule: str, n: int, t: int, d: int | None = None) -> float:
     """Proven worst-case relaxation factor of a rule at (n, t, d).
 
     mda: 1 + 2t/(n-t); medoid: (3n-2t)/(n-2t); geomedian: 2(n-t)/(n-2t);
-    minmax-meb: 1 + (k-1)/(k+1+sqrt(2(k+1)k)) with k = min(d, C(n, n-t)-1).
+    minmax-meb: 1 + (k-1)/(k+1+sqrt(2(k+1)k)) with k = max(1, min(d,
+    C(n, n-t)-1)), so it needs d.
     Every bound needs an honest majority: n <= 2t raises
     ``ResilienceViolationError``, since no rule has a finite factor there.
     """
@@ -211,12 +206,10 @@ def theoretical_bound(rule: str, n: int, t: int, d: int | None = None) -> float:
         raise InvalidParamsError(
             f"no proven bound for rule {rule!r}; choose from {_BOUND_RULES}"
         )
-    if not all(map(_is_int, (n, t, 0 if d is None else d))):
-        raise InvalidParamsError(
-            f"n, t and d (if given) must be integers, got n={n!r}, t={t!r}, d={d!r}"
-        )
-    if t < 0 or t >= n:
-        raise InvalidParamsError(f"need 0 <= t < n, got n={n}, t={t}")
+    n = _count(n, "n", 1)
+    t = _count(t, "t", 0, n)
+    if rule == "minmax-meb" or d is not None:
+        d = _count(d, "d", 1)
     if n <= 2 * t:
         raise ResilienceViolationError(
             f"{rule} guarantee needs an honest majority (n > 2t); got n={n}, t={t}"
@@ -227,11 +220,7 @@ def theoretical_bound(rule: str, n: int, t: int, d: int | None = None) -> float:
         return (3.0 * n - 2.0 * t) / (n - 2.0 * t)
     if rule == "geomedian":
         return 2.0 * (n - t) / (n - 2.0 * t)
-    if d is None:
-        raise InvalidParamsError("minmax-meb bound needs the dimension d")
-    k = min(d, math.comb(n, n - t) - 1)
-    if k < 1:
-        return 1.0
+    k = max(1, min(d, math.comb(n, n - t) - 1))
     return 1.0 + _tangent_minmax_value(k)
 
 
@@ -294,10 +283,9 @@ def relation_check(
     """
     if relation not in RELATIONS:
         raise InvalidParamsError(f"unknown relation {relation!r}; choose from {RELATIONS}")
-    _check_factor(c, "c", 0.0)
-    if delta is not None:
-        _check_factor(delta, "delta", 0.0)
-    _check_factor(tol, "tol", 0.0)
+    c = _real(c, "c")
+    delta = None if delta is None else _real(delta, "delta")
+    tol = _real(tol, "tol")
     pts = as_points(honest)
     if rng is None:
         rng = np.random.default_rng(0)

@@ -133,6 +133,20 @@ def test_aggregate_resilience_violation_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["aggregate", "--rule", "medoid", "-t", "99"], ["certify", "--y=1,0", "-t", "-3"]],
+    ids=["medoid-ignores-t", "labeled-certify"],
+)
+def test_a_fault_budget_outside_0_to_n_is_rejected(runner, tmp_path, command):
+    # both reported the bad t and exited 0, since neither path reads t
+    path = tmp_path / "p.csv"
+    path.write_text("0,0,honest\n2,0,honest\n9,9,byz\n")
+    result = runner.invoke(main, [command[0], str(path), *command[1:]])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: t must be an integer >= 0 and < 3, got ")
+
+
 def test_aggregate_report_determinism(runner, tmp_path):
     path = write_interval_csv(tmp_path)
     outputs = []
@@ -282,6 +296,19 @@ def test_max_subsets_below_one_is_rejected(runner, tmp_path, cap):
     )
     assert result.exit_code == 2, result.output
     assert "Invalid value for '--max-subsets'" in result.output
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--seeds", "0"), ("--seeds", "-3"), ("--seed", "-1")]
+)
+def test_bench_seed_counts_out_of_range_are_rejected(runner, option, value):
+    # --seeds 0 ran no instance and reported the empty cell within its bound,
+    # and --seed -1 failed on a derived seed of -100003
+    grid = ["--rules", "medoid", "--n-list", "5", "--t-list", "1"]
+    command = ["bench", *grid, option, value] if option == "--seeds" else [option, value, "bench", *grid]
+    result = runner.invoke(main, command)
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
 
 
 def test_scenario_tangent_balls_verify(runner):

@@ -259,7 +259,7 @@ def test_dimensions_must_be_integers(dim):
     # ended in a bare TypeError from np.full
     with pytest.raises(MebaggError, match="k must be an integer >= 1"):
         soddy_inner_bend([1.0] * 4, dim)
-    with pytest.raises(InvalidParamsError, match="integer dimension >= 2"):
+    with pytest.raises(InvalidParamsError, match="dimension must be an integer >= 2"):
         lower_bound_geometry(dim)
     assert soddy_inner_bend([1.0] * 3, np.int64(2)) == soddy_inner_bend([1.0] * 3, 2)
 

@@ -351,7 +351,7 @@ def test_theoretical_bound_errors():
     ids=["fractional-t", "bool-t", "float-n", "fractional-d", "bool-d"],
 )
 def test_theoretical_bound_rejects_counts_that_are_not_integers(rule, n, t, d):
-    with pytest.raises(InvalidParamsError, match="must be integers"):
+    with pytest.raises(InvalidParamsError, match="must be an integer >= "):
         theoretical_bound(rule, n, t, d)
 
 
