@@ -444,9 +444,10 @@ def geometric_median(
 ) -> AggregateResult:
     """Point minimizing the sum of Euclidean distances to the inputs.
 
-    Weiszfeld iteration with data-point collision handling: when the iterate
-    lands on an input point, a subgradient optimality test either certifies
-    it or steps off along the descent direction. Rank-deficient (collinear)
+    Weiszfeld iteration with a vertex test at data points. The test runs when
+    the iterate lands on an input point, and when it settles beside one not
+    tested yet; it either certifies that point by the subgradient condition
+    or takes one descent step off it (Vardi-Zhang). Collinear (rank <= 1)
     inputs reduce to the 1-D median with the midpoint convention for even
     counts, matching ``coordwise_median``. ``tol`` must be finite and >= 0,
     and ``max_iter`` an integer >= 1.
@@ -456,8 +457,6 @@ def geometric_median(
     _count(t, "t", 0, n, InvalidFaultBudgetError)
     tol = _real(tol, "tol")
     max_iter = _count(max_iter, "max_iter", 1)
-    if n == 1:
-        return AggregateResult(output=pts[0], rule="geomedian")
     # Weiszfeld in the extent's power-of-two unit (as ``_distance_matrix``): squares stay in range
     e = _spread_exp(np.ptp(pts / 2, axis=0)) + 1
     P = np.ldexp(pts, -e)
@@ -465,58 +464,43 @@ def geometric_median(
     here_tol, near_tol, step_tol = _length_tol(np.array([1e-12, 1e-5, tol]), P)
 
     centered = P - P.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    if svals[0] <= here_tol:
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    if svals[0] <= here_tol:  # one point, or all equal
         return AggregateResult(output=pts[0], rule="geomedian")
     if d == 1 or svals[1] <= 1e-12 * svals[0]:
         # collinear: 1-D median, midpoint of the two central order statistics
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        axis = vt[0]
-        proj = np.sort(centered @ axis)
+        proj = np.sort(centered @ vt[0])
         mid = 0.5 * (proj[(n - 1) // 2] + proj[n // 2])
-        return AggregateResult(output=np.ldexp(P.mean(axis=0) + mid * axis, e), rule="geomedian")
+        return AggregateResult(output=np.ldexp(P.mean(axis=0) + mid * vt[0], e), rule="geomedian")
 
-    def vertex_step(vertex: np.ndarray):
-        """Subgradient test at a data point; None when the point is optimal,
-        otherwise one descent step off it (Vardi-Zhang)."""
-        dist = np.linalg.norm(P - vertex, axis=1)
-        here = dist <= here_tol
-        mult = int(here.sum())
-        rest = ~here
-        resid = ((vertex - P[rest]) / dist[rest, None]).sum(axis=0)
-        rnorm = float(np.linalg.norm(resid))
+    y = P.mean(axis=0)
+    tested = set()
+    for _ in range(max_iter):
+        dist = np.linalg.norm(P - y, axis=1)
+        k = int(np.argmin(dist))
+        if dist[k] > here_tol:
+            w = 1.0 / dist
+            y_new = (P * w[:, None]).sum(axis=0) / w.sum()
+            if np.linalg.norm(y_new - y) > step_tol:
+                y = y_new
+                continue
+            # settled; beside a data point, test it once: stepping off it
+            # again would retrace the same path
+            if dist[k] > near_tol or k in tested:
+                return AggregateResult(output=np.ldexp(y_new, e), rule="geomedian")
+            tested.add(k)
+        # vertex test at P[k]: optimal when the pull of the other points is
+        # at most its multiplicity, otherwise one descent step off it
+        dist = np.linalg.norm(P - P[k], axis=1)
+        rest = dist > here_tol
+        mult = n - int(rest.sum())
+        rnorm = float(np.linalg.norm(((P[k] - P[rest]) / dist[rest, None]).sum(axis=0)))
         if rnorm <= mult + 1e-12:
-            return None
+            return AggregateResult(output=pts[k], rule="geomedian")
         w = 1.0 / dist[rest]
         target = (P[rest] * w[:, None]).sum(axis=0) / w.sum()
         lam = min(1.0, mult / rnorm)
-        return (1.0 - lam) * target + lam * vertex
-
-    y = P.mean(axis=0)
-    resolved = set()
-    for _ in range(max_iter):
-        dist = np.linalg.norm(P - y, axis=1)
-        nearest = int(np.argmin(dist))
-        if dist[nearest] <= here_tol:
-            stepped = vertex_step(P[nearest])
-            if stepped is None:
-                return AggregateResult(output=pts[nearest], rule="geomedian")
-            y_new = stepped
-        else:
-            w = 1.0 / dist
-            y_new = (P * w[:, None]).sum(axis=0) / w.sum()
-        if np.linalg.norm(y_new - y) <= step_tol:
-            # settled; if hugging a data point, resolve the vertex exactly,
-            # once: stepping off it again would retrace the same path
-            if dist[nearest] <= near_tol and nearest not in resolved:
-                resolved.add(nearest)
-                stepped = vertex_step(P[nearest])
-                if stepped is None:
-                    return AggregateResult(output=pts[nearest], rule="geomedian")
-                y = stepped
-                continue
-            return AggregateResult(output=np.ldexp(y_new, e), rule="geomedian")
-        y = y_new
+        y = (1.0 - lam) * target + lam * P[k]
     raise NonConvergenceError(
         f"Weiszfeld iteration did not settle within {max_iter} iterations"
     )

@@ -39,7 +39,6 @@ from .validity import (
     theoretical_bound,
 )
 
-EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CERTIFICATION_FAIL = 2
 

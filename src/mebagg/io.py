@@ -9,6 +9,7 @@ exact for doubles.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -122,16 +123,24 @@ def save_points(ps: PointSet, path: str | Path) -> None:
 
 
 def report_json(report: dict) -> str:
-    """Serialize a report dict deterministically (insertion order kept)."""
-    return json.dumps(report, indent=2, default=_coerce) + "\n"
+    """Serialize a report dict deterministically (insertion order kept). A
+    non-finite number is written as the string "inf", "-inf" or "nan", so the
+    text is strict JSON."""
+    return json.dumps(_plain(report), indent=2, allow_nan=False) + "\n"
 
 
-def _coerce(obj):
+def _plain(obj):
+    """``obj`` with numpy arrays and scalars as Python lists and numbers, and
+    non-finite floats as their names."""
+    if isinstance(obj, dict):
+        return {key: _plain(v) for key, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return [float(x) for x in obj.reshape(-1)]
+        obj = obj.reshape(-1).astype(float).tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        obj = obj.item()
+    return repr(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _type_ok(value, spec: str) -> bool:
@@ -146,7 +155,10 @@ def _type_ok(value, spec: str) -> bool:
             return True
         if alt == "int" and isinstance(value, int) and not isinstance(value, bool):
             return True
-        if alt == "number" and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if alt == "number" and (
+            isinstance(value, (int, float)) and not isinstance(value, bool)
+            or isinstance(value, str) and value in ("inf", "-inf", "nan")  # as ``_plain`` writes them
+        ):
             return True
         if alt == "dict" and isinstance(value, dict):
             return True
@@ -159,9 +171,7 @@ def _type_ok(value, spec: str) -> bool:
 
 def validate_report(report: dict) -> list[str]:
     """Check a report against the shipped schema; returns problems found."""
-    schema = json.loads(
-        (Path(__file__).parent / "report_schema.json").read_text()
-    )
+    schema = json.loads((Path(__file__).parent / "report_schema.json").read_text())
     problems: list[str] = []
     command = report.get("command")
     spec = schema["commands"].get(command)
@@ -169,14 +179,17 @@ def validate_report(report: dict) -> list[str]:
         return [f"unknown command {command!r}"]
     if report.get("schema") != schema["schema"]:
         problems.append(f"schema tag {report.get('schema')!r}")
-    for key in spec["required"]:
-        if key not in report:
-            problems.append(f"missing field {key!r}")
-    for key, tspec in spec["types"].items():
-        if key in report and not _type_ok(report[key], tspec):
-            problems.append(f"field {key!r} has wrong type")
+    problems += _field_problems(report, spec, "field")
     for cert in report.get("certificates", []):
-        for key in schema["certificate"]["required"]:
-            if key not in cert:
-                problems.append(f"certificate missing {key!r}")
+        problems += _field_problems(cert, schema["certificate"], "certificate field")
     return problems
+
+
+def _field_problems(obj: dict, spec: dict, what: str) -> list[str]:
+    """The required fields ``obj`` lacks and the typed fields it holds with a wrong type."""
+    missing = [f"{what} {key!r} missing" for key in spec["required"] if key not in obj]
+    return missing + [
+        f"{what} {key!r} has wrong type"
+        for key, tspec in spec["types"].items()
+        if key in obj and not _type_ok(obj[key], tspec)
+    ]

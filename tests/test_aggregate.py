@@ -353,11 +353,30 @@ def test_gm_subgradient_norm_small(rng):
     assert smooth_checked >= 5
 
 
-def test_gm_data_point_optimum():
-    # heavy cluster pins the optimum at an input point
-    pts = np.array([(0.0, 0.0)] * 6 + [(1.0, 1.0), (-1.0, 2.0)])
+@pytest.mark.parametrize(
+    "pts, expected",
+    [([(0.0, 0.0)] * 6 + [(1.0, 1.0), (-1.0, 2.0)], (0.0, 0.0)),
+     ([(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)], (0.0, 0.0)),
+     ([(2.5, -1.0)], (2.5, -1.0)),
+     ([(2.5, -1.0, 3.0)] * 4, (2.5, -1.0, 3.0))],
+    ids=["heavy-cluster", "plus-lands-on-its-centre", "one-point", "four-equal-points"],
+)
+def test_gm_data_point_optimum(pts, expected):
+    # a heavy cluster pins the optimum at an input point; the plus shape's
+    # mean is its centre, so the first iterate lands on an optimal vertex
     result = geometric_median(pts)
-    assert np.allclose(result.output, [0, 0], atol=1e-8)
+    assert result.output.tolist() == list(expected)
+
+
+def test_gm_steps_off_a_landing_that_is_not_optimal():
+    # the mean (0, 0) is a data point, but the four points near x = 3 pull
+    # harder than its multiplicity: one descent step off it, then Weiszfeld
+    pts = np.array([(0.0, 0.0), (3.0, 1.0), (3.0, -1.0), (3.0, 0.5), (3.0, -0.5), (-12.0, 0.0)])
+    out = geometric_median(pts).output
+    d = np.linalg.norm(pts - out, axis=1)
+    assert d.min() > 1e-3 and abs(out[0] - 2.5978) < 1e-4
+    grad = ((out - pts) / d[:, None]).sum(axis=0)
+    assert np.linalg.norm(grad) <= 1e-6 * len(pts)
 
 
 @pytest.mark.parametrize(

@@ -83,11 +83,21 @@ def write_interval_csv(tmp_path):
     return path
 
 
+def _strict_json(text):
+    """``text`` parsed as RFC 8259 JSON: NaN and Infinity tokens raise. Every
+    report these tests read goes through it."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_aggregate_minmax_on_interval(runner, tmp_path):
     path = write_interval_csv(tmp_path)
     result = runner.invoke(main, ["aggregate", str(path), "--rule", "minmax-meb", "-t", "1"])
     assert result.exit_code == 0, result.output
-    report = json.loads(result.output)
+    report = _strict_json(result.output)
     assert abs(report["output"][0] - 1.0) <= 1e-6
     assert report["rule"] == "minmax-meb"
     assert report["schema"] == "mebagg-report/1"
@@ -98,7 +108,7 @@ def test_aggregate_mean_t0(runner, tmp_path):
     path.write_text("0,0\n2,4\n")
     result = runner.invoke(main, ["aggregate", str(path), "--rule", "mean"])
     assert result.exit_code == 0
-    assert json.loads(result.output)["output"] == [1.0, 2.0]
+    assert _strict_json(result.output)["output"] == [1.0, 2.0]
 
 
 def test_aggregate_malformed_csv_exits_1(runner, tmp_path):
@@ -172,7 +182,7 @@ def test_certify_labeled_counterexample(runner, tmp_path):
         main, ["certify", str(path), "--y", "1,1", "-t", "8", "--c", "2"]
     )
     assert result.exit_code == 2
-    report = json.loads(result.output)
+    report = _strict_json(result.output)
     assert abs(report["achieved_factor"] - math.sqrt(5)) <= 1e-9
     conditions = {c["condition"]: c for c in report["certificates"]}
     assert not conditions["c-meb(c=2)"]["pass"]
@@ -183,7 +193,7 @@ def test_certify_center_passes(runner, tmp_path):
     path.write_text("0,0,honest\n2,0,honest\n9,9,byz\n")
     result = runner.invoke(main, ["certify", str(path), "--y", "1,0", "-t", "1", "--c", "1"])
     assert result.exit_code == 0
-    assert json.loads(result.output)["achieved_factor"] <= 1e-9
+    assert _strict_json(result.output)["achieved_factor"] <= 1e-9
 
 
 def test_certify_labeled_coincident_honest_points(runner, tmp_path):
@@ -198,7 +208,7 @@ def test_certify_labeled_coincident_honest_points(runner, tmp_path):
         main, ["certify", str(path), "--y=1000.0000000000001,1000", "--c=1.5", "-t", "1"]
     )
     assert result.exit_code == 0, result.output
-    report = json.loads(result.output)
+    report = _strict_json(result.output)
     certs = {c["condition"]: c for c in report["certificates"]}
     c_meb = certs["c-meb(c=1.5)"]
     assert c_meb["pass"]
@@ -210,9 +220,10 @@ def test_certify_labeled_coincident_honest_points(runner, tmp_path):
         main, ["certify", str(path), "--y=1000.00000001,1000", "--c=1.5", "-t", "1"]
     )
     assert result.exit_code == 2, result.output
-    report = json.loads(result.output)
+    report = _strict_json(result.output)
     certs = {c["condition"]: c for c in report["certificates"]}
-    assert report["achieved_factor"] == certs["c-meb(c=1.5)"]["achieved"] == math.inf
+    # an infinite factor is written as the string "inf": reports are strict JSON
+    assert report["achieved_factor"] == certs["c-meb(c=1.5)"]["achieved"] == "inf"
     assert not any(certs[k]["pass"] for k in ("c-meb(c=1.5)", "box", "bias(c=1.5)"))
 
 
@@ -220,7 +231,7 @@ def test_certify_unlabeled_worst_case(runner, tmp_path):
     path = write_interval_csv(tmp_path)
     result = runner.invoke(main, ["certify", str(path), "--y", "1", "-t", "1"])
     assert result.exit_code == 0
-    report = json.loads(result.output)
+    report = _strict_json(result.output)
     # y=1 sits in every candidate interval, the worst ratio stays below 1
     assert report["achieved_factor"] <= 1.0 + 1e-9
     assert report["mode"] == "worst-case"
@@ -233,7 +244,7 @@ def test_certify_ignore_labels_keeps_the_designation_on_a_pass(runner, tmp_path)
         main, ["certify", str(path), "--y=1,0", "-t", "1", "--c", "3", "--ignore-labels"]
     )
     assert result.exit_code == 0, result.output
-    report = json.loads(result.output)
+    report = _strict_json(result.output)
     assert report["mode"] == "worst-case"
     assert report["worst_designation"] == [1, 2]
     assert report["certificates"] == [
@@ -314,7 +325,7 @@ def test_bench_seed_counts_out_of_range_are_rejected(runner, option, value):
 def test_scenario_tangent_balls_verify(runner):
     result = runner.invoke(main, ["scenario", "tangent-balls", "--k", "2", "--verify"])
     assert result.exit_code == 0, result.output
-    report = json.loads(result.output)
+    report = _strict_json(result.output)
     assert report["verified"] is True
     assert abs(report["detail"]["minmax_value"] - 0.1547005) <= 1e-4
 
@@ -324,7 +335,7 @@ def test_scenario_lower_bound_verify(runner):
         main, ["scenario", "lower-bound", "--d", "3", "-t", "3", "--verify"]
     )
     assert result.exit_code == 0, result.output
-    report = json.loads(result.output)
+    report = _strict_json(result.output)
     assert report["detail"]["empty"] is True
 
 
@@ -333,7 +344,7 @@ def test_scenario_medoid_ce_verify_large_t(runner):
         main, ["scenario", "medoid-ce", "-t", "12", "--x", "10", "--verify"]
     )
     assert result.exit_code == 0, result.output
-    report = json.loads(result.output)
+    report = _strict_json(result.output)
     assert abs(report["detail"]["distance_to_hostile_center"] - math.sqrt(5)) <= 1e-9
 
 
@@ -344,7 +355,7 @@ def test_scenario_medoid_ce_verify_small_t_fails(runner):
         main, ["scenario", "medoid-ce", "-t", "8", "--x", "10", "--verify"]
     )
     assert result.exit_code == 2
-    report = json.loads(result.output)
+    report = _strict_json(result.output)
     assert report["verified"] is False
     assert report["detail"]["medoid"] == [2.0, 0.0]
 
@@ -357,7 +368,7 @@ def test_scenario_emit_files(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert (out / "points.csv").exists()
-    spec = json.loads((out / "scenario.json").read_text())
+    spec = _strict_json((out / "scenario.json").read_text())
     assert spec["kind"] == "gm-convex"
     assert load_points(out / "points.csv").n == 10
 
@@ -372,7 +383,7 @@ def test_scenario_config_round_trip(runner, tmp_path):
         main, ["scenario", "--config", str(out / "scenario.json"), "--verify"]
     )
     assert second.exit_code == 0, second.output
-    report = json.loads(second.output)
+    report = _strict_json(second.output)
     assert report["kind"] == "lower-bound"
     assert report["detail"]["empty"] is True
 
@@ -405,7 +416,7 @@ def test_scenario_config_reproduces_the_emitted_scenario(runner, tmp_path, argv)
         main, ["scenario", "--config", str(tmp_path / "a" / "scenario.json"), "--emit", str(tmp_path / "b")]
     )
     assert second.exit_code == 0, second.output
-    assert json.loads(second.output)["params"] == json.loads(first.output)["params"]
+    assert _strict_json(second.output)["params"] == _strict_json(first.output)["params"]
     written = sorted(f.name for f in (tmp_path / "a").iterdir())
     assert written == sorted(f.name for f in (tmp_path / "b").iterdir())
     for name in written:
@@ -434,7 +445,7 @@ def test_scenario_malformed_config_is_an_error(runner, tmp_path, payload):
 def test_scenario_gm_convex_verify(runner):
     result = runner.invoke(main, ["scenario", "gm-convex", "-t", "50", "--verify"])
     assert result.exit_code == 0, result.output
-    assert json.loads(result.output)["detail"]["hull_distance"] > 0.01
+    assert _strict_json(result.output)["detail"]["hull_distance"] > 0.01
 
 
 @pytest.mark.parametrize("option", ["--n-list", "--t-list", "--d-list"])
@@ -475,7 +486,7 @@ def test_bench_minmax_stays_below_sqrt2(runner):
          "--d-list", "2", "--seeds", "5"],
     )
     assert result.exit_code == 0, result.output
-    for row in json.loads(result.output)["rows"]:
+    for row in _strict_json(result.output)["rows"]:
         assert row["within_bound"]
         assert row["max_factor"] < math.sqrt(2) + 1e-6
 
@@ -486,7 +497,7 @@ def test_bench_skips_mda_without_an_honest_majority(runner):
         main, ["bench", "--rules", "mda", "--n-list", "5", "--t-list", "3", "--d-list", "2"]
     )
     assert result.exit_code == 0, result.output
-    assert json.loads(result.output)["rows"] == []
+    assert _strict_json(result.output)["rows"] == []
 
 
 def test_bench_json_determinism(runner):
@@ -509,7 +520,7 @@ def test_bench_factor_holds_at_any_spread(runner):
                    "--d-list", "2", "--seeds", "3", "--spread", spread],
         )
         assert result.exit_code == 0, result.output
-        factors.append([row["max_factor"] for row in json.loads(result.output)["rows"]])
+        factors.append([row["max_factor"] for row in _strict_json(result.output)["rows"]])
     assert np.allclose(factors[0], factors[1], rtol=1e-9, atol=0.0)
     assert np.allclose(factors[2], factors[1], rtol=1e-9, atol=0.0)
 
@@ -522,20 +533,48 @@ def test_out_flag_writes_file(runner, tmp_path):
         main, ["--out", str(dest), "aggregate", str(src), "--rule", "mean"]
     )
     assert result.exit_code == 0
-    assert json.loads(dest.read_text())["rule"] == "mean"
+    assert _strict_json(dest.read_text())["rule"] == "mean"
 
 
 def test_reports_validate_against_shipped_schema(runner, tmp_path):
     path = write_interval_csv(tmp_path)
+    # one honest location: the honest ball has radius 0, so the factor is infinite
+    point = tmp_path / "point.csv"
+    point.write_text("1,1,honest\n1,1,honest\n1,1,honest\n5,5,byz\n")
     cmds = [
-        ["aggregate", str(path), "--rule", "medoid", "-t", "1"],
-        ["certify", str(path), "--y", "1", "-t", "1", "--c", "2"],
-        ["scenario", "tangent-balls", "--k", "2", "--verify"],
-        ["bench", "--rules", "medoid", "--n-list", "5", "--t-list", "1",
-         "--d-list", "2", "--seeds", "2"],
+        (["aggregate", str(path), "--rule", "medoid", "-t", "1"], 0),
+        (["certify", str(path), "--y", "1", "-t", "1", "--c", "2"], 0),
+        (["certify", str(point), "--y", "2,2", "--c", "2", "-t", "1"], 2),
+        (["scenario", "tangent-balls", "--k", "2", "--verify"], 0),
+        (["scenario", "gm-impossibility", "-t", "5", "--verify"], 0),
+        (["scenario", "random", "--verify"], 0),
+        (["bench", "--rules", "medoid", "--n-list", "5", "--t-list", "1",
+          "--d-list", "2", "--seeds", "2"], 0),
     ]
-    for cmd in cmds:
+    reports = []
+    for cmd, code in cmds:
         result = runner.invoke(main, cmd)
-        assert result.exit_code == 0, (cmd, result.output)
-        report = json.loads(result.output)
-        assert validate_report(report) == [], (cmd, validate_report(report))
+        assert result.exit_code == code, (cmd, result.output)
+        reports.append(_strict_json(result.output))
+        assert validate_report(reports[-1]) == [], (cmd, validate_report(reports[-1]))
+    assert reports[2]["achieved_factor"] == reports[2]["certificates"][0]["achieved"] == "inf"
+    assert [r["verified"] for r in reports[3:6]] == [True, True, True]
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [(lambda r: r.update(command="plot"), "unknown command 'plot'"),
+     (lambda r: r.update(schema="mebagg-report/0"), "schema tag 'mebagg-report/0'"),
+     (lambda r: r.pop("y"), "field 'y' missing"),
+     (lambda r: r.update(achieved_factor="Infinity"), "field 'achieved_factor' has wrong type"),
+     (lambda r: r["certificates"][0].pop("bound"), "certificate field 'bound' missing"),
+     (lambda r: r["certificates"][0].update(achieved=None), "certificate field 'achieved' has wrong type")],
+    ids=["command", "schema-tag", "missing-field", "wrong-type", "certificate-missing-key",
+         "certificate-wrong-type"],
+)
+def test_validate_report_names_each_problem(runner, tmp_path, edit, problem):
+    path = write_interval_csv(tmp_path)
+    result = runner.invoke(main, ["certify", str(path), "--y", "1", "-t", "1", "--c", "2"])
+    report = _strict_json(result.output)
+    edit(report)
+    assert validate_report(report) == [problem]

@@ -9,6 +9,7 @@ from mebagg import (
     InvalidFaultBudgetError,
     candidate_balls,
     candidate_balls_bruteforce,
+    circumball,
     exhaustive_factor,
     grid_minmax,
     meb,
@@ -35,6 +36,18 @@ def test_bruteforce_equilateral_triangle_circumradius():
     pts = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)]
     ball = meb_bruteforce(pts)
     assert math.isclose(ball.radius, 1 / math.sqrt(3), rel_tol=1e-12)
+
+
+def test_circumball_of_collinear_points_falls_back_to_least_squares(monkeypatch):
+    # the Gram matrix 2 V V^T of (1, 0), (3, 0) is singular; the minimum-norm
+    # least-squares solution puts the center at (1.4, 0), 1.6 from (3, 0)
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+    ball = circumball([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)])
+    assert len(calls) == 1
+    assert np.allclose(ball.center, [1.4, 0.0], rtol=0, atol=1e-12)
+    assert math.isclose(ball.radius, 1.6, rel_tol=1e-12)
 
 
 def test_bruteforce_caps():

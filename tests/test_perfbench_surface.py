@@ -61,3 +61,20 @@ def test_worstcase_ops_reuse_the_subset_tables(tmp_path):
         tracer.record_op(op_id, 0.0, 0.0, None)
     info = aggregate._subset_table.cache_info()
     assert info.hits >= info.misses > 0
+
+
+def test_labeled_workload_passes_one_op_per_rule(tmp_path):
+    # the rules take turns pass by pass, one shape list each; every op checks
+    # its rule's output against criteria 06, 08 and 10 through the traced layers
+    spans, workloads = _load("spans"), _load("workloads")
+    workload, tracer = workloads.WORKLOADS["labeled"], spans.Tracer()
+    lay = spans.Layers(tracer)
+    inputs = workload.setup(7, tmp_path)
+    shapes = len(workloads.LABELED_SHAPES)
+    for op_id, rule in enumerate(workloads.LABELED_RULES):
+        inp = inputs[op_id * shapes]
+        assert inp[3] == rule
+        assert workload.op(inp, lay), rule
+        tracer.record_op(op_id, 0.0, 0.0, None)
+    called = {s["name"] for s in tracer.spans}
+    assert {f"aggregate.{fn}" for fn, _ in workloads.LABELED_RULES.values()} <= called
