@@ -49,39 +49,40 @@ MAX_SUBSETS = 2_000_000
 # move to the search run slower there, so the price stays.
 _MEB_COST_IN_SUPPORTS = 500
 
-# At most _TABLES subset tables of at most _TABLE_ELEMS indices are kept, 8 MB
-# in all; the worstcase bench shapes need 16 tables and the sweep ones 17.
+# At most _TABLES subset tables of at most _TABLE_ELEMS indices (8 MB in all) are kept, each
+# with one row size a row; the worstcase bench shapes need 16 tables and the sweep ones 17.
 _TABLE_ELEMS = _CHUNK_ELEMS // 4
 _TABLES = 64
 
 
 def _build(n: int, sizes, rows: int, combos=None):
     """The k-subsets of range(n) for k in ``sizes``, size-major and each
-    lexicographic, or ``combos``, as arrays of ``rows`` rows, each padded to
-    the largest size by repeating its first index."""
+    lexicographic, or ``combos``, as (rows, row sizes) pairs of ``rows`` rows,
+    each row padded to the largest size by repeating its first index."""
     K = sizes[-1]
     if combos is None:
         combos = itertools.chain.from_iterable(itertools.combinations(range(n), k) for k in sizes)
     while chunk := list(itertools.islice(combos, rows)):
         flat = itertools.chain.from_iterable(S + S[:1] * (K - len(S)) for S in chunk)
-        yield np.fromiter(flat, np.intp, len(chunk) * K).reshape(len(chunk), K)
+        yield (np.fromiter(flat, np.intp, len(chunk) * K).reshape(len(chunk), K),
+               np.fromiter(map(len, chunk), np.intp, len(chunk)))
 
 
 @lru_cache(maxsize=_TABLES)
-def _subset_table(n: int, sizes: tuple[int, ...]) -> np.ndarray:
-    """``_build(n, sizes)`` as one read-only array, which every call shares."""
+def _subset_table(n: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``_build(n, sizes)`` as one read-only pair, which every call shares."""
     table = next(_build(n, sizes, sum(math.comb(n, k) for k in sizes)))
-    table.setflags(write=False)
+    for a in table:
+        a.setflags(write=False)
     return table
 
 
 def _index_chunks(n: int, sizes, rows, found=None):
-    """The rows of ``_build(n, sizes)``, or of ``found`` (sorted by size,
-    then lexicographically; ``sizes`` is then unused), in chunks of at most
-    ``rows(K)`` rows of width K: whole sizes share a chunk while they fit,
-    and a size that does not is chunked alone. A table of at most ``_TABLE_ELEMS`` indices is
-    sliced from the cache; a larger one, or ``found``, is built chunk by
-    chunk, so memory stays bounded at any count."""
+    """The (rows, row sizes) of ``_build(n, sizes)``, or of ``found`` (sorted by size, then
+    lexicographically; ``sizes`` is then unused), in chunks of at most ``rows(K)`` rows of
+    width K: whole sizes share a chunk while they fit, and a size that does not is chunked
+    alone. A table of at most ``_TABLE_ELEMS`` indices is sliced from the cache; a larger
+    one, or ``found``, is built chunk by chunk, so memory stays bounded at any count."""
     counts = Counter(map(len, found)) if found is not None else {k: math.comb(n, k) for k in sizes}
     runs = []  # each chunk's sizes, and their count
     for k, count in counts.items():
@@ -93,7 +94,8 @@ def _index_chunks(n: int, sizes, rows, found=None):
     for ks, count in runs:
         r = rows(ks[-1])
         if found is None and count * ks[-1] <= _TABLE_ELEMS:
-            yield from (_subset_table(n, ks)[i : i + r] for i in range(0, count, r))
+            table, size = _subset_table(n, ks)
+            yield from ((table[i : i + r], size[i : i + r]) for i in range(0, count, r))
         else:
             yield from _build(n, ks, r, None if found is None else itertools.islice(rest, count))
 
@@ -275,39 +277,40 @@ def _support_balls(P: np.ndarray, m: int, found: list | None = None):
     """
     n, d = P.shape
     slack = 1e-12 * float(np.abs(P).max())
+    PT = np.ascontiguousarray(P.T)
     centers, radii, witnesses = [], [], []
-    # a chunk's differences to every point and its K-1 vectors: (n + K - 1) d floats a row
-    rows = lambda K: max(1, _CHUNK_ELEMS // ((n + K - 1) * d))
-    for S in _index_chunks(n, range(1, min(d + 1, m) + 1), rows, found):
-        c = base = P[S[:, 0]]
-        size = 1 + (S[:, 1:] != S[:, :1]).sum(axis=1)  # a padded column repeats the first index
+    # Chunk arrays keep the support index s last, as _gram_solve factors them, and no sum's
+    # order moves with the chunk's width: einsum adds down strided axes, filtered beta and V
+    # keep i innermost, sum() adds beta's rows in turn; a one-row 2-point Gram gives beta 1/2.
+    rows = lambda K: max(1, _CHUNK_ELEMS // ((n + K - 1) * d))  # a row's differences and K-1 vectors
+    for S, size in _index_chunks(n, range(1, min(d + 1, m) + 1), rows, found):
+        c = base = np.take(PT, S[:, 0], axis=1)
         if S.shape[1] > 1:
-            # circumcenter c = base + V^T beta with G beta = |v_i|^2 / 2
-            V = P[S[:, 1:]] - base[:, None, :]
-            b = 0.5 * np.einsum("sij,sij->si", V, V)
-            ok, beta = _gram_solve(V @ V.transpose(0, 2, 1), b, size - 1)
-            ok &= (beta >= -1e-12).all(axis=1) & (beta.sum(axis=1) <= 1.0 + 1e-12)
-            S, base, beta, V, size = S[ok], base[ok], beta[ok], V[ok], size[ok]
-            c = base + np.einsum("si,sid->sd", beta, V)
-        r = np.sqrt(np.add.reduce((c - base) ** 2, axis=1))  # norm(axis=1), unwrapped
-        # direct distances: the Gram expansion loses coincident points
-        diff = P[None, :, :] - c[:, None, :]
-        reach = (1.0 + 1e-12) * r + slack
-        covered = np.einsum("snd,snd->sn", diff, diff) <= (reach * reach)[:, None]
+            # circumcenter c = base + V beta with G beta = |v_i|^2 / 2, V (d, K-1, s)
+            V = np.take(PT, S[:, 1:].T, axis=1) - base[:, None, :]
+            G = np.einsum("dis,djs->ijs", V, V)
+            ok, beta = _gram_solve(G, 0.5 * G.diagonal(0, 0, 1).T, size - 1)
+            ok &= (beta >= -1e-12).all(axis=0) & (sum(beta) <= 1.0 + 1e-12)
+            S, size = S[ok], size[ok]
+            c = base[:, ok] + np.einsum("is,dis->ds", beta[:, ok], V[:, :, ok])
+        # direct distances, (d, n, s): the Gram expansion loses coincident points
+        diff = PT[:, :, None] - c[:, None, :]
+        dist2 = np.einsum("dns,dns->ns", diff, diff)
+        r = np.sqrt(dist2[S[:, 0], np.arange(len(S))])
+        covered = (dist2 <= ((1.0 + 1e-12) * r + slack) ** 2).T
         ok = covered.sum(axis=1) >= m
         if not ok.any():
             continue
-        S = S[ok]
-        in_s = np.zeros((len(S), n), dtype=bool)
-        in_s[np.arange(len(S))[:, None], S] = True
+        in_s = np.zeros((int(ok.sum()), n), dtype=bool)
+        in_s[np.arange(len(in_s))[:, None], S[ok]] = True
         extra = covered[ok] & ~in_s
         extra &= np.cumsum(extra, axis=1) <= (m - size[ok])[:, None]
         witnesses.append(np.nonzero(in_s | extra)[1].reshape(-1, m))
-        centers.append(c[ok])
+        centers.append(c[:, ok])
         radii.append(r[ok])
     if not centers:
         raise NonConvergenceError("no support set passed its enclosing-ball checks")
-    return np.concatenate(centers), np.concatenate(radii), np.concatenate(witnesses)
+    return np.concatenate(centers, axis=1).T, np.concatenate(radii), np.concatenate(witnesses)
 
 
 def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> CandidateBalls:
@@ -414,7 +417,7 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
             partners -= close[:, drop].sum(axis=1)
         core = np.flatnonzero(alive)
         pair_rows, pair_cols = np.triu_indices(m, k=1)
-        for subs in _index_chunks(core.size, (m,), lambda K: max(1, _CHUNK_ELEMS // pair_rows.size)):
+        for subs, _ in _index_chunks(core.size, (m,), lambda K: max(1, _CHUNK_ELEMS // pair_rows.size)):
             subs = core[subs]
             diams = dmat[subs[:, pair_rows], subs[:, pair_cols]].max(axis=1)
             idx = int(np.argmin(diams))

@@ -260,7 +260,7 @@ def _cast_param(name, default, value):
 @click.argument("kind", type=click.Choice(list(SCENARIOS)), required=False)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="Load kind and params from a scenario.json file.")
 @click.option("--d", type=int, default=2, show_default=True)
-@click.option("-t", "--t", "--faults", type=int, default=3, show_default=True)
+@click.option("-t", "--t", "--faults", type=int, default=None, help="Fault budget t.  [default: 4 for medoid-ce and 5 for gm-impossibility, the smallest they accept; 3 for the others]")
 @click.option("--x", type=float, default=10.0, show_default=True)
 @click.option("--k", type=int, default=2, show_default=True)
 @click.option("--n", type=int, default=8, show_default=True)
@@ -285,6 +285,8 @@ def scenario(ctx, kind, config_path, emit_dir, verify, **options):
             raise ParseError("give a scenario kind or --config")
         generate, names = SCENARIOS[kind]
         options["seed"] = ctx.obj["seed"]
+        if options["t"] is None:  # the smallest t that medoid-ce and gm-impossibility accept
+            options["t"] = {"medoid-ce": 4, "gm-impossibility": 5}.get(kind, 3)
         try:
             # a config's params overlay the options, cast to the options' types
             params = {name: _cast_param(name, options[name], given.get(name, options[name])) for name in names}

@@ -119,20 +119,19 @@ def _full_rank(G: np.ndarray):
 
 def _gram_solve(G: np.ndarray, b: np.ndarray, dims: np.ndarray):
     """(ok, x): x solves G x = b on each row of a batch of Gram matrices G
-    (s, k, k) with right-hand sides b (s, k), and ok is ``_full_rank`` of each
+    (k, k, s) with right-hand sides b (k, s), and ok is ``_full_rank`` of each
     row's leading block of non-decreasing ``dims``, past which G is 0 or I and b 0.
 
-    One square-root-free Cholesky factor G = L D L^T for the whole batch
-    (Golub & Van Loan, Matrix Computations, 4.1-4.2): Gaussian elimination
-    without row exchanges, a column per step. Laid out (k, k, s), each matrix
-    entry is one contiguous length-s vector, so step j is numpy work over all
-    rows with dims > j, from lo[j] on. det(G) is the product of the pivots
-    D_jj, so a row is ok when each one is positive and their product passes
-    ``_full_rank``'s bar; a repeated vector gives an exact zero pivot. A pivot
-    that is not positive is replaced by 1, so no NaN spreads; x is then
-    meaningless on that row. Holds about 2 k^2 s floats."""
-    k = b.shape[1]
-    A, x = G.transpose(1, 2, 0).copy(), b.T.copy()
+    One square-root-free Cholesky factor G = L D L^T for the whole batch (Golub & Van
+    Loan, Matrix Computations, 4.1-4.2): Gaussian elimination without row exchanges, a
+    column per step. Laid out (k, k, s), each matrix entry is one contiguous length-s
+    vector, so step j is numpy work over all rows with dims > j, from lo[j] on. det(G) is
+    the product of the pivots D_jj, so a row is ok when each one is positive and their
+    product passes ``_full_rank``'s bar; a repeated vector gives an exact zero pivot. A
+    pivot that is not positive is replaced by 1, so no NaN spreads; x is then meaningless
+    on that row. G and b are overwritten, G with the factor and b with x, returned
+    (k, s); beside them one update holds about k^2 s floats."""
+    A, x, k = G, b, len(b)
     lo = np.searchsorted(dims, range(k), "right").tolist()
     for j, r in enumerate(lo):
         A[j, j, :r] = 1.0  # a unit pivot past a row's dims
@@ -148,7 +147,7 @@ def _gram_solve(G: np.ndarray, b: np.ndarray, dims: np.ndarray):
     for j, r in reversed(list(enumerate(lo))):
         x[j, r:] = (x[j, r:] - np.einsum("is,is->s", A[j + 1 :, j, r:], x[j + 1 :, r:])) / piv[j]
     D = A.diagonal(0, 0, 1)
-    return (D > 0).all(axis=1) & (np.multiply.reduce(D, 1) > bar), x.T
+    return (D > 0).all(axis=1) & (np.multiply.reduce(D, 1) > bar), x
 
 
 def _closed_form(CW: np.ndarray, RW: np.ndarray, S: np.ndarray, slack: float):

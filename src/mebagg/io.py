@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -169,9 +170,14 @@ def _type_ok(value, spec: str) -> bool:
     return False
 
 
+@lru_cache(maxsize=1)
+def _report_schema() -> dict:  # read once per process; callers must not change it
+    return json.loads((Path(__file__).parent / "report_schema.json").read_text())
+
+
 def validate_report(report: dict) -> list[str]:
     """Check a report against the shipped schema; returns problems found."""
-    schema = json.loads((Path(__file__).parent / "report_schema.json").read_text())
+    schema = _report_schema()
     problems: list[str] = []
     command = report.get("command")
     spec = schema["commands"].get(command)

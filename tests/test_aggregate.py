@@ -121,9 +121,9 @@ def test_mda_walks_only_the_core(monkeypatch):
     index_chunks = aggregate._index_chunks
 
     def counting(*args):
-        for chunk in index_chunks(*args):
+        for chunk, sizes in index_chunks(*args):
             walked.append(len(chunk))
-            yield chunk
+            yield chunk, sizes
 
     monkeypatch.setattr(aggregate, "_index_chunks", counting)
     # the walk over all C(20, 13) = 77 520 subsets finds 1 in the core
@@ -195,8 +195,8 @@ def test_pairwise_rules_hold_memory_to_a_few_blocks():
 def test_candidate_balls_hold_memory_to_a_few_chunks():
     # A chunk of width K <= 9 holds s = _CHUNK_ELEMS // ((n + K - 1) d)
     # supports: their differences to every point and their K-1 vectors take
-    # s (n + K - 1) d <= _CHUNK_ELEMS floats; the Gram matrices, _gram_solve's
-    # copy of them and its update take (K-1)^2 s <= _CHUNK_ELEMS (K-1)/n each.
+    # s (n + K - 1) d <= _CHUNK_ELEMS floats; the Gram matrices, which _gram_solve
+    # factors in place, and its update take (K-1)^2 s <= _CHUNK_ELEMS (K-1)/n each.
     # A whole level of C(16, 8) = 12 870 supports at once would take about
     # 22 chunks for the differences alone.
     pts = np.random.default_rng(4).normal(size=(16, 11))
@@ -218,12 +218,12 @@ def test_support_sizes_share_a_chunk_and_one_factor(monkeypatch):
     index_chunks, gram_solve = aggregate._index_chunks, aggregate._gram_solve
 
     def counting_chunks(*args):
-        for S in index_chunks(*args):
+        for S, size in index_chunks(*args):
             chunks.append(S)
-            yield S
+            yield S, size
 
     def counting_solve(G, b, dims):
-        solves.append((G.shape[1], int(dims.max())))
+        solves.append((G.shape[0], int(dims.max())))
         return gram_solve(G, b, dims)
 
     pts = random_instance(12, 3, 4, seed=1).points.points
@@ -241,6 +241,31 @@ def test_support_sizes_share_a_chunk_and_one_factor(monkeypatch):
     alone = candidate_balls(pts, 3)
     for name in ("center_array", "radius_array", "witness_array"):
         assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes()
+
+
+@pytest.mark.parametrize("n, t, d", [(10, 2, 8), (16, 4, 3), (9, 3, 5), (18, 1, 4)])
+def test_one_row_chunks_give_the_same_balls(n, t, d, monkeypatch):
+    # No sum in the support kernel may change order with the chunk's width:
+    # chunks of one row give the kernel's centers, radii and witnesses, and
+    # so the balls, byte for byte. (10, 2, 8) has supports of width 9, and
+    # (18, 1, 4) takes the search route.
+    support_balls, default, calls = aggregate._support_balls, aggregate._CHUNK_ELEMS, []
+
+    def recording(P, m, found=None):
+        out = support_balls(P, m, found)
+        calls.append((found is not None, [a.tobytes() for a in out]))
+        return out
+
+    monkeypatch.setattr(aggregate, "_support_balls", recording)
+    for seed, strategy in itertools.product(range(2), ("uniform-far", "cluster")):
+        pts = random_instance(n, t, d, seed=seed, strategy=strategy).points.points
+        monkeypatch.setattr(aggregate, "_CHUNK_ELEMS", default)
+        shared = candidate_balls(pts, t)
+        monkeypatch.setattr(aggregate, "_CHUNK_ELEMS", 5)
+        alone = candidate_balls(pts, t)
+        for name in ("center_array", "radius_array", "witness_array"):
+            assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes()
+        assert calls[-2] == calls[-1] and calls[-1][0] == ((n, t, d) == (18, 1, 4))
 
 
 def test_distance_matrix_blocks_change_no_bit(monkeypatch):
@@ -742,19 +767,24 @@ def test_subset_table_chunks_match_itertools(rows):
         for k in range(n + 1):
             chunks = list(aggregate._index_chunks(n, (k,), lambda K: rows))
             reference = _itertools_chunks(n, k, rows)
-            assert [c.shape for c in chunks] == [c.shape for c in reference]
-            assert all(np.array_equal(a, b) for a, b in zip(chunks, reference))
-            flat = [tuple(r) for c in chunks for r in c.tolist()]
+            assert [c.shape for c, _ in chunks] == [c.shape for c, _ in reference]
+            assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(chunks, reference))
+            flat = [tuple(r) for c, _ in chunks for r in c.tolist()]
             assert flat == list(itertools.combinations(range(n), k))
+            # each chunk's row sizes travel with it
+            assert all(np.array_equal(size, np.full(len(c), k)) for c, size in chunks + reference)
 
 
 def test_subset_tables_are_read_only_and_shared():
-    chunk = next(aggregate._index_chunks(9, (3,), lambda K: 5))
+    chunk, size = next(aggregate._index_chunks(9, (3,), lambda K: 5))
     with pytest.raises(ValueError, match="read-only"):
         chunk[0, 0] = 4
-    table = aggregate._subset_table(9, (3,))
+    with pytest.raises(ValueError, match="read-only"):
+        size[0] = 4
+    pair = table, sizes = aggregate._subset_table(9, (3,))
     assert not table.flags.writeable and np.shares_memory(chunk, table)
-    assert aggregate._subset_table(9, (3,)) is table
+    assert not sizes.flags.writeable and np.shares_memory(size, sizes)
+    assert aggregate._subset_table(9, (3,)) is pair
 
 
 def test_subset_table_cache_is_bounded():
@@ -767,16 +797,17 @@ def test_subset_table_cache_is_bounded():
     # C(20, 5) x 5 = 77 520 indices is over the cap: built chunk by chunk, never cached
     assert math.comb(20, 5) * 5 > aggregate._TABLE_ELEMS
     chunks = list(aggregate._index_chunks(20, (5,), lambda K: 1000))
-    assert all(c.flags.writeable for c in chunks)
-    assert sum(map(len, chunks)) == math.comb(20, 5)
+    assert all(c.flags.writeable for c, _ in chunks)
+    assert sum(len(c) for c, _ in chunks) == math.comb(20, 5)
     assert cache.cache_info().currsize == cache.cache_info().misses == 0
     # more (n, k) than the cache holds, each at most the cap: it keeps _TABLES
     shapes = [(n, k) for n in range(40) for k in range(1, n + 1)
               if math.comb(n, k) * k <= aggregate._TABLE_ELEMS]
     assert len(shapes) > 2 * aggregate._TABLES
     for n, k in shapes:
-        assert sum(map(len, aggregate._index_chunks(n, (k,), lambda K: 500))) == math.comb(n, k)
-        assert aggregate._subset_table(n, (k,)).nbytes <= per_table
+        assert sum(len(c) for c, _ in aggregate._index_chunks(n, (k,), lambda K: 500)) == math.comb(n, k)
+        table, sizes = aggregate._subset_table(n, (k,))
+        assert table.nbytes <= per_table and sizes.size == len(table)
     assert cache.cache_info().currsize == aggregate._TABLES
 
 

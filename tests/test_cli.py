@@ -1,12 +1,14 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from mebagg import ParseError, PointSet
+from mebagg import io as mio
 from mebagg.cli import SCENARIOS, main
 from mebagg.io import (
     load_points,
@@ -360,6 +362,26 @@ def test_scenario_medoid_ce_verify_small_t_fails(runner):
     assert report["detail"]["medoid"] == [2.0, 0.0]
 
 
+def test_scenario_default_t_is_the_smallest_the_kind_accepts(runner):
+    # without -t, each kind runs at a fault budget it accepts
+    result = runner.invoke(main, ["scenario", "gm-impossibility", "--verify"])
+    assert result.exit_code == 0, result.output
+    report = _strict_json(result.stdout)
+    assert report["params"]["t"] == 5 and report["verified"] is True
+    # t = 4 is below the t = 12 crossover of the known-red medoid
+    # counterexample (README, "Known red"): verify reports the failure
+    result = runner.invoke(main, ["scenario", "medoid-ce", "--verify"])
+    assert result.exit_code == 2
+    assert "error:" not in result.output
+    report = _strict_json(result.stdout)
+    assert validate_report(report) == []
+    assert report["params"]["t"] == 4 and report["verified"] is False
+    assert report["detail"]["medoid"] == [2.0, 0.0]
+    # the other kinds keep t = 3
+    result = runner.invoke(main, ["scenario", "gm-convex"])
+    assert result.exit_code == 0 and _strict_json(result.stdout)["params"]["t"] == 3
+
+
 def test_scenario_emit_files(runner, tmp_path):
     out = tmp_path / "scen"
     result = runner.invoke(
@@ -578,3 +600,19 @@ def test_validate_report_names_each_problem(runner, tmp_path, edit, problem):
     report = _strict_json(result.output)
     edit(report)
     assert validate_report(report) == [problem]
+
+
+def test_validate_report_reads_the_schema_once(runner, tmp_path, monkeypatch):
+    path = write_interval_csv(tmp_path)
+    report = _strict_json(runner.invoke(main, ["certify", str(path), "--y", "1", "-t", "1", "--c", "2"]).output)
+    reads, read_text = [], Path.read_text
+
+    def counting(self, *args, **kwargs):
+        if self.name == "report_schema.json":
+            reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    mio._report_schema.cache_clear()
+    assert validate_report(report) == validate_report(report) == []
+    assert len(reads) == 1

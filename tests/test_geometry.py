@@ -391,6 +391,16 @@ def test_unique_rows_matches_numpy_unique():
         assert np.array_equal(first, expected_first)
 
 
+def _gram_solve_rows(G, b, dims):
+    """``_gram_solve`` on fresh (k, k, s) and (k, s) copies of the row-major
+    batches G (s, k, k) and b (s, k); it solves in place, so x is the copy of
+    b, and comes back (s, k)."""
+    rhs = b.T.copy()
+    ok, x = mebagg.geometry._gram_solve(G.transpose(1, 2, 0).copy(), rhs, dims)
+    assert x is rhs
+    return ok, x.T
+
+
 def test_gram_solve_matches_full_rank_and_lapack():
     # every other row is singular on purpose: a repeated point, a collinear
     # triple a, a + u, a + 2u, or all points coincident, half of each kind at
@@ -413,7 +423,7 @@ def test_gram_solve_matches_full_rank_and_lapack():
         G = V @ V.transpose(0, 2, 1)
         b = 0.5 * np.einsum("sij,sij->si", V, V)
         batches[k - 1] = G, b
-        ok, x = mebagg.geometry._gram_solve(G, b, np.full(300, k - 1))
+        ok, x = _gram_solve_rows(G, b, np.full(300, k - 1))
         assert np.array_equal(ok, mebagg.geometry._full_rank(G))
         assert not ok[::2].any() and ok[1::2].all()
         want = np.linalg.solve(G[ok], b[ok][..., None])[..., 0]
@@ -436,11 +446,11 @@ def test_gram_solve_matches_full_rank_and_lapack():
             G.append(pad)
             b.append(np.pad(bg, ((0, 0), (0, K - g))))
             rows.append(np.full(len(Gg), g))
-        ok, x = mebagg.geometry._gram_solve(np.concatenate(G), np.concatenate(b), np.concatenate(rows))
+        ok, x = _gram_solve_rows(np.concatenate(G), np.concatenate(b), np.concatenate(rows))
         at = 0
         for g in dims:
             Gg, bg = batches[g][0][take[g]], batches[g][1][take[g]]
-            alone = mebagg.geometry._gram_solve(Gg, bg, np.full(len(Gg), g))
+            alone = _gram_solve_rows(Gg, bg, np.full(len(Gg), g))
             assert np.array_equal(ok[at : at + len(Gg)], alone[0])
             assert np.array_equal(ok[at : at + len(Gg)], mebagg.geometry._full_rank(Gg))
             assert np.array_equal(x[at : at + len(Gg), :g], alone[1])
