@@ -249,8 +249,8 @@ def _search_rows(P: np.ndarray, t: int, m: int, cap: int | None) -> list:
         y, rho, basis = _one_center(L[rest], np.ones(rest.size))
         Q = np.sort(first[rest[basis] if cap is None else np.abs(_row_norms(L - y) - rho) <= 1e-9])
         core, A = np.zeros(Q.size, dtype=bool), P[Q[1:]] - P[Q[0]]
-        if Q.size <= P.shape[1] + 1 and _full_rank(A @ A.T):
-            beta = np.linalg.solve(A @ A.T, A @ (y - P[Q[0]]))
+        if Q.size <= P.shape[1] + 1 and _full_rank(G := A @ A.T):
+            beta = np.linalg.solve(G, A @ (y - P[Q[0]]))
             core = np.append(1.0 - beta.sum(), beta) > 1e-6
         fixed, free = Q[core].tolist(), Q[~core].tolist()
         sizes = range(int(not fixed), min(P.shape[1] + 1, m) - len(fixed) + 1)

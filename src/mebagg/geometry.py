@@ -110,32 +110,43 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[order], order
 
 
-def _full_rank(G: np.ndarray):
-    """Is the Gram matrix G, or each one of a batch, nonsingular, by the Hadamard
-    ratio det(G) / prod(G_ii): 1 for orthogonal rows, 0 for dependent ones.
-    ``_gram_solve`` applies the same bar to det(G) taken from its pivots."""
-    return np.linalg.det(G) > G.shape[-1] * _EPS * np.multiply.reduce(G.diagonal(0, -2, -1), -1)
+def _pivot_floor(k, diag):
+    """The one rank bar of Gram matrices G of k vectors: every pivot D_jj of a factor
+    G = L D L^T must exceed this k (k+1) eps G_jj, so vector j keeps a squared sine above
+    k (k+1) eps against the span of the earlier ones. A Cholesky factor is exact for G plus an
+    error of norm k (k+1) eps in G scaled to a unit diagonal (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3): a smaller pivot puts G within it of a singular matrix."""
+    return k * (k + 1) * _EPS * diag
+
+
+def _full_rank(G: np.ndarray) -> bool:
+    """Is the Gram matrix G nonsingular by ``_pivot_floor``, with the pivots D_jj = L_jj^2 of
+    one Cholesky factor G = L L^T; a factor that fails (a pivot not positive) says no."""
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return bool((L.diagonal() ** 2 > _pivot_floor(len(G), G.diagonal())).all())
 
 
 def _gram_solve(G: np.ndarray, b: np.ndarray, dims: np.ndarray):
     """(ok, x): x solves G x = b on each row of a batch of Gram matrices G
-    (k, k, s) with right-hand sides b (k, s), and ok is ``_full_rank`` of each
+    (k, k, s) with right-hand sides b (k, s), and ok is ``_pivot_floor``'s bar on each
     row's leading block of non-decreasing ``dims``, past which G is 0 or I and b 0.
 
     One square-root-free Cholesky factor G = L D L^T for the whole batch (Golub & Van
     Loan, Matrix Computations, 4.1-4.2): Gaussian elimination without row exchanges, a
     column per step. Laid out (k, k, s), each matrix entry is one contiguous length-s
-    vector, so step j is numpy work over all rows with dims > j, from lo[j] on. det(G) is
-    the product of the pivots D_jj, so a row is ok when each one is positive and their
-    product passes ``_full_rank``'s bar; a repeated vector gives an exact zero pivot. A
-    pivot that is not positive is replaced by 1, so no NaN spreads; x is then meaningless
-    on that row. G and b are overwritten, G with the factor and b with x, returned
-    (k, s); beside them one update holds about k^2 s floats."""
+    vector, so step j is numpy work over all rows with dims > j, from lo[j] on. A padded
+    column gets a unit diagonal, so its pivot is 1 and passes the bar at the row's own
+    dims. A pivot that is not positive is replaced by 1, so no NaN spreads; x is then
+    meaningless on that row, which fails the bar. G and b are overwritten, G with the
+    factor and b with x, returned (k, s); beside them one update holds about k^2 s floats."""
     A, x, k = G, b, len(b)
     lo = np.searchsorted(dims, range(k), "right").tolist()
     for j, r in enumerate(lo):
         A[j, j, :r] = 1.0  # a unit pivot past a row's dims
-    bar = dims * _EPS * np.multiply.reduce(A.diagonal(0, 0, 1), 1)
+    floor = _pivot_floor(dims[:, None], A.diagonal(0, 0, 1))
     piv = []
     for j, r in enumerate(lo):
         col = A[j:, j, r:]  # the pivot D_jj, then row j of D L^T by symmetry
@@ -146,8 +157,7 @@ def _gram_solve(G: np.ndarray, b: np.ndarray, dims: np.ndarray):
             x[j + 1 :, r:] -= lower * x[j, r:]
     for j, r in reversed(list(enumerate(lo))):
         x[j, r:] = (x[j, r:] - np.einsum("is,is->s", A[j + 1 :, j, r:], x[j + 1 :, r:])) / piv[j]
-    D = A.diagonal(0, 0, 1)
-    return (D > 0).all(axis=1) & (np.multiply.reduce(D, 1) > bar), x
+    return (A.diagonal(0, 0, 1) > floor).all(axis=1), x
 
 
 def _closed_form(CW: np.ndarray, RW: np.ndarray, S: np.ndarray, slack: float):

@@ -633,6 +633,30 @@ def test_candidate_balls_high_dimension_checks_few_supports(monkeypatch):
         assert math.isclose(ball.radius, meb(pts[list(sub)]).radius, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("n, t", [(60, 1), (30, 2)])
+def test_candidate_balls_in_high_dimension_match_subset_oracle(n, t):
+    # point 0 shifted by 3 in every coordinate of R^1000: some MEBs have dozens
+    # of points on their sphere, whose difference vectors are nearly
+    # equicorrelated; a rank bar that calls their Gram matrix singular finds no
+    # tight support and raises
+    pts = np.random.default_rng(n).normal(size=(n, 1000))
+    pts[0] += 3.0
+    balls = candidate_balls(pts, t)
+    reference = candidate_balls_bruteforce(pts, t)
+    C, R = reference.centers(), reference.radii()
+    tol = 1e-12 * R.max()
+    by_subset = {sub: i for i, sub in enumerate(reference.subsets)}
+    for sub, c, r in zip(balls.subsets, balls.centers(), balls.radii()):
+        i = by_subset[sub]
+        assert np.abs(c - C[i]).max() <= tol and abs(r - R[i]) <= tol
+    # and every subset's ball is among the candidates
+    for c, r in zip(C, R):
+        gap = np.maximum(np.abs(balls.centers() - c).max(axis=1), np.abs(balls.radii() - r))
+        assert gap.min() <= tol
+    y = minmax_meb(pts, t, balls=balls).output
+    assert np.abs(minmax_meb(pts, t, balls=reference).output - y).max() <= 1e-9 * R.max()
+
+
 def test_candidate_balls_co_spherical_points_restart_bounded(monkeypatch):
     # all 20 points of the cross-polytope in R^10 lie on one sphere, so each
     # search node would hand the kernel 784 625 subsets of them; past the

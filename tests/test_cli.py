@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +230,27 @@ def test_certify_labeled_coincident_honest_points(runner, tmp_path):
     # an infinite factor is written as the string "inf": reports are strict JSON
     assert report["achieved_factor"] == certs["c-meb(c=1.5)"]["achieved"] == "inf"
     assert not any(certs[k]["pass"] for k in ("c-meb(c=1.5)", "box", "bias(c=1.5)"))
+
+
+def test_certify_in_high_dimension_finishes(tmp_path):
+    # 100 honest points in R^1000 and one Byzantine point: the honest ball has
+    # dozens of points on its sphere. A separate process with a timeout makes a
+    # solver that walks subsets fail the suite instead of hanging it
+    rng = np.random.default_rng(3)
+    pts = np.vstack([rng.normal(size=(100, 1000)), np.full((1, 1000), 10.0)])
+    path = tmp_path / "hd.csv"
+    save_points(PointSet(pts, ("honest",) * 100 + ("byz",)), path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mebagg.cli", "certify", str(path), "--y=" + ",".join(["0"] * 1000),
+         "-t", "1", "--c", "1.5"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = _strict_json(proc.stdout)
+    assert validate_report(report) == []
+    assert report["command"] == "certify" and len(report["y"]) == 1000
 
 
 def test_certify_unlabeled_worst_case(runner, tmp_path):

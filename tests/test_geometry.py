@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +379,29 @@ def test_small_weighted_sets_match_the_exhaustive_oracle_and_the_grid(monkeypatc
     assert first_round >= 15 and fallback >= 15, (first_round, fallback)
 
 
+@pytest.mark.parametrize("n, d, seed", [(80, 1000, 1), (80, 1000, 2), (100, 1000, 0), (128, 512, 2)])
+def test_meb_of_many_points_in_high_dimension(n, d, seed, monkeypatch):
+    # seen from one point on the sphere of n Gaussian points in high d, the
+    # others are nearly equicorrelated, so the Gram matrix of a working set is
+    # about I + 11^T: well conditioned at any size. A rank bar that calls it
+    # singular sends the solve through a walk over subsets of some 50 balls;
+    # a few hundred closed forms settle it instead
+    closed_form, calls = mebagg.geometry._closed_form, []
+
+    def budgeted(*args):
+        calls.append(1)
+        assert len(calls) <= 1000, "the solve walks subsets of the working set"
+        return closed_form(*args)
+
+    monkeypatch.setattr(mebagg.geometry, "_closed_form", budgeted)
+    pts = np.random.default_rng(seed).normal(size=(n, d))
+    ball = meb(pts)
+    dists = np.linalg.norm(pts - ball.center, axis=1)
+    assert dists.max() <= ball.radius
+    tight = pts[dists >= ball.radius * (1.0 - 1e-9)]
+    assert dist_to_hull(ball.center, tight) <= 1e-12 * ball.radius
+
+
 def test_unique_rows_matches_numpy_unique():
     rng = np.random.default_rng(5)
     for _ in range(200):
@@ -399,6 +423,11 @@ def _gram_solve_rows(G, b, dims):
     ok, x = mebagg.geometry._gram_solve(G.transpose(1, 2, 0).copy(), rhs, dims)
     assert x is rhs
     return ok, x.T
+
+
+def _full_rank_rows(G):
+    """``_full_rank`` of each matrix of the batch G (s, k, k), one at a time."""
+    return np.array([mebagg.geometry._full_rank(g) for g in G], dtype=bool)
 
 
 def test_gram_solve_matches_full_rank_and_lapack():
@@ -424,7 +453,7 @@ def test_gram_solve_matches_full_rank_and_lapack():
         b = 0.5 * np.einsum("sij,sij->si", V, V)
         batches[k - 1] = G, b
         ok, x = _gram_solve_rows(G, b, np.full(300, k - 1))
-        assert np.array_equal(ok, mebagg.geometry._full_rank(G))
+        assert np.array_equal(ok, _full_rank_rows(G))
         assert not ok[::2].any() and ok[1::2].all()
         want = np.linalg.solve(G[ok], b[ok][..., None])[..., 0]
         err = np.linalg.norm(x[ok] - want, axis=1) / np.linalg.norm(want, axis=1)
@@ -452,10 +481,24 @@ def test_gram_solve_matches_full_rank_and_lapack():
             Gg, bg = batches[g][0][take[g]], batches[g][1][take[g]]
             alone = _gram_solve_rows(Gg, bg, np.full(len(Gg), g))
             assert np.array_equal(ok[at : at + len(Gg)], alone[0])
-            assert np.array_equal(ok[at : at + len(Gg)], mebagg.geometry._full_rank(Gg))
+            assert np.array_equal(ok[at : at + len(Gg)], _full_rank_rows(Gg))
             assert np.array_equal(x[at : at + len(Gg), :g], alone[1])
             assert not x[at : at + len(Gg), g:].any()
             at += len(Gg)
+    # G = I + 11^T, the Gram matrix of k vectors at 60 degrees from each other
+    # (points on a sphere seen from one of them in high d): its condition number
+    # is k + 1, so both must call it nonsingular, also scaled near overflow
+    for k in (10, 60):
+        G = np.eye(k) + 1.0
+        for scale in (1.0, 1e300 / k):
+            Gs = np.stack([G * scale] * 3)
+            b = 0.5 * np.einsum("sii->si", Gs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ok, x = _gram_solve_rows(Gs, b, np.full(3, k))
+                assert ok.all() and _full_rank_rows(Gs).all()
+            want = np.linalg.solve(Gs, b[..., None])[..., 0]
+            assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max(), (k, scale)
 
 
 def test_meb_is_bit_identical_under_row_permutations():
