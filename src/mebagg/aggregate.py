@@ -31,6 +31,7 @@ from .geometry import (
     _full_rank,
     _gram_solve,
     _length_tol,
+    _mean,
     _one_center,
     _row_norms,
     _spread_exp,
@@ -342,7 +343,7 @@ def candidate_balls(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> Candid
     # a local origin keeps the solves well scaled at any offset, and a
     # power-of-two unit of the spread keeps squares in range without
     # rounding; the balls are built and keyed in these units
-    origin = pts.mean(axis=0)
+    origin = _mean(pts)
     P = pts - origin
     e = _spread_exp(P)
     P = np.ldexp(P, -e)
@@ -367,7 +368,7 @@ def mean_aggregate(points, t: int = 0) -> AggregateResult:
     """Arithmetic mean of all points (no robustness, baseline)."""
     pts = as_points(points)
     _count(t, "t", 0, len(pts), InvalidFaultBudgetError)
-    return AggregateResult(output=pts.mean(axis=0), rule="mean")
+    return AggregateResult(output=_mean(pts), rule="mean")
 
 
 def coordwise_median(points, t: int = 0) -> AggregateResult:
@@ -423,12 +424,7 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
             idx = int(np.argmin(diams))
             if diams[idx] < best:
                 best, best_sub = diams[idx], tuple(int(i) for i in subs[idx])
-    # average in each coordinate's power-of-two unit, which rounds nothing,
-    # so the sum cannot overflow where the mean is representable
-    chosen = pts[list(best_sub)]
-    e = np.frexp(np.abs(chosen).max(axis=0))[1]
-    out = np.ldexp(np.ldexp(chosen, -e).mean(axis=0), e)
-    return AggregateResult(output=out, rule="mda", chosen_subset=best_sub)
+    return AggregateResult(output=_mean(pts[list(best_sub)]), rule="mda", chosen_subset=best_sub)
 
 
 def medoid(points, t: int = 0) -> AggregateResult:
@@ -445,68 +441,80 @@ def medoid(points, t: int = 0) -> AggregateResult:
 def geometric_median(
     points, t: int = 0, *, tol: float = 1e-9, max_iter: int = 100_000
 ) -> AggregateResult:
-    """Point minimizing the sum of Euclidean distances to the inputs.
+    """Point minimizing f(y) = sum_i ||y - p_i||.
 
-    Weiszfeld iteration with a vertex test at data points. The test runs when
-    the iterate lands on an input point, and when it settles beside one not
-    tested yet; it either certifies that point by the subgradient condition
-    or takes one descent step off it (Vardi-Zhang). Collinear (rank <= 1)
-    inputs reduce to the 1-D median with the midpoint convention for even
-    counts, matching ``coordwise_median``. ``tol`` must be finite and >= 0,
-    and ``max_iter`` an integer >= 1.
+    Newton steps from the mean (Overton 1983) in the coordinates z = (y - mean) V^T of
+    the centered points' SVD, where the Hessian sum_i (I - u_i u_i^T) / ||z - z_i||, u_i
+    the unit vector from z_i to z, is r x r with r <= min(n, d). A step is kept when it
+    lowers f, else cut back to the point of its ray closest to the nearest input; when
+    neither lowers f, or the iterate lands on an input, that input gets the vertex test
+    (Vardi-Zhang). It is returned, exactly, when the pull of the others is at most its
+    multiplicity; else one Weiszfeld step, or the descent step off the input, follows.
+    The loop stops at an uncut step no longer than ``tol`` times the smaller of the
+    extent and the nearest input's distance, or than the rounding floor; ``max_iter``
+    (an integer >= 1) caps the steps, ``tol`` is finite and >= 0. Collinear inputs take
+    the 1-D median, the midpoint for even counts, as ``coordwise_median``.
     """
     pts = as_points(points)
     n, d = pts.shape
     _count(t, "t", 0, n, InvalidFaultBudgetError)
     tol = _real(tol, "tol")
     max_iter = _count(max_iter, "max_iter", 1)
-    # Weiszfeld in the extent's power-of-two unit (as ``_distance_matrix``): squares stay in range
+    # in the extent's power-of-two unit (as ``_distance_matrix``): squares stay in range
     e = _spread_exp(np.ptp(pts / 2, axis=0)) + 1
     P = np.ldexp(pts, -e)
-    # length tolerances of the extent, once per call: on a data point, near one, settled
-    here_tol, near_tol, step_tol = _length_tol(np.array([1e-12, 1e-5, tol]), P)
-
-    centered = P - P.mean(axis=0)
+    # length tolerances of the extent: on a data point, settled, rounding
+    here_tol, step_tol, floor = _length_tol(np.array([1e-12, tol, 0.0]), P)
+    centered = P - (mean := _mean(P))
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     if svals[0] <= here_tol:  # one point, or all equal
         return AggregateResult(output=pts[0], rule="geomedian")
-    if d == 1 or svals[1] <= 1e-12 * svals[0]:
-        # collinear: 1-D median, midpoint of the two central order statistics
-        proj = np.sort(centered @ vt[0])
-        mid = 0.5 * (proj[(n - 1) // 2] + proj[n // 2])
-        return AggregateResult(output=np.ldexp(P.mean(axis=0) + mid * vt[0], e), rule="geomedian")
+    vt = vt[svals > 1e-12 * svals[0]]  # the directions of the affine hull
+    Z = centered @ vt.T
+    if len(vt) == 1:  # collinear: the 1-D median, the midpoint of the central two for even n
+        return AggregateResult(output=np.ldexp(mean + np.median(Z[:, 0]) * vt[0], e), rule="geomedian")
 
-    y = P.mean(axis=0)
-    tested = set()
+    z, diff, eye = np.zeros(len(vt)), -Z, np.eye(len(vt))
+    dist = np.linalg.norm(diff, axis=1)
     for _ in range(max_iter):
-        dist = np.linalg.norm(P - y, axis=1)
         k = int(np.argmin(dist))
+        limit = max(step_tol * min(1.0, dist[k]), floor)
         if dist[k] > here_tol:
             w = 1.0 / dist
-            y_new = (P * w[:, None]).sum(axis=0) / w.sum()
-            if np.linalg.norm(y_new - y) > step_tol:
-                y = y_new
+            u = diff * w[:, None]
+            step = np.linalg.solve(w.sum() * eye - (u.T * w) @ u, u.sum(axis=0))
+            if math.sqrt(step @ step) <= limit:
+                z = z - step
+                break
+            # the Newton step, or its cut, kept when f drops; the drop is summed
+            # as differences of squares over sums of lengths, which do not cancel
+            for s in (step, min(1.0, diff[k] @ step / (step @ step)) * step):
+                new = np.linalg.norm(diff - s, axis=1)
+                if lowers := ((s - 2.0 * diff) @ s / (new + dist)).sum() < 0.0:
+                    break
+            if lowers:
+                z, diff, dist = z - s, diff - s, new
                 continue
-            # settled; beside a data point, test it once: stepping off it
-            # again would retrace the same path
-            if dist[k] > near_tol or k in tested:
-                return AggregateResult(output=np.ldexp(y_new, e), rule="geomedian")
-            tested.add(k)
-        # vertex test at P[k]: optimal when the pull of the other points is
-        # at most its multiplicity, otherwise one descent step off it
-        dist = np.linalg.norm(P - P[k], axis=1)
-        rest = dist > here_tol
+        # vertex test at Z[k]: optimal when the pull of the other points is
+        # at most its multiplicity
+        dk = np.linalg.norm(Z - Z[k], axis=1)
+        rest = dk > here_tol
         mult = n - int(rest.sum())
-        rnorm = float(np.linalg.norm(((P[k] - P[rest]) / dist[rest, None]).sum(axis=0)))
+        rnorm = float(np.linalg.norm(((Z[k] - Z[rest]) / dk[rest, None]).sum(axis=0)))
         if rnorm <= mult + 1e-12:
             return AggregateResult(output=pts[k], rule="geomedian")
-        w = 1.0 / dist[rest]
-        target = (P[rest] * w[:, None]).sum(axis=0) / w.sum()
-        lam = min(1.0, mult / rnorm)
-        y = (1.0 - lam) * target + lam * P[k]
-    raise NonConvergenceError(
-        f"Weiszfeld iteration did not settle within {max_iter} iterations"
-    )
+        if dist[k] <= here_tol:  # on Z[k]: the descent step off it
+            wk, lam = 1.0 / dk[rest], min(1.0, mult / rnorm)
+            step = z - (1.0 - lam) * (wk @ Z[rest]) / wk.sum() - lam * Z[k]
+        else:  # one Weiszfeld step, which always descends
+            step = z - w @ Z / w.sum()
+        z, diff = z - step, diff - step
+        dist = np.linalg.norm(diff, axis=1)
+        if math.sqrt(step @ step) <= limit:
+            break
+    else:
+        raise NonConvergenceError(f"geometric median did not settle within {max_iter} steps")
+    return AggregateResult(output=np.ldexp(mean + z @ vt, e), rule="geomedian")
 
 
 # ---------------------------------------------------------------------------

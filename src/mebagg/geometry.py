@@ -82,6 +82,13 @@ def _spread_exp(x) -> int:
     return int(np.frexp(np.abs(x).max())[1])
 
 
+def _mean(pts: np.ndarray) -> np.ndarray:
+    """Column means summed in each coordinate's power-of-two unit, which rounds nothing:
+    no sum overflows where the mean is representable, and in range no bit changes."""
+    e = np.frexp(np.abs(pts).max(axis=0))[1]
+    return np.ldexp(np.add.reduce(np.ldexp(pts, -e)) / len(pts), e)
+
+
 _ROUNDING_FLOOR = 2.0**-49  # 8 eps: points this close, relative to max|x|, count as one
 
 
@@ -271,7 +278,7 @@ def _one_center(C: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float, list[i
     # a local origin keeps the closed-form solves well scaled at any offset;
     # power-of-two scales bring the spread and the radii near 1 without
     # rounding, so squared lengths neither underflow nor overflow
-    origin = C.mean(axis=0)
+    origin = _mean(C)
     cexp, rexp = _spread_exp(C - origin), _spread_exp(R)
     local = np.ldexp(C - origin, -cexp)
     R = np.ldexp(R, -rexp)

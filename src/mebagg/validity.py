@@ -20,7 +20,7 @@ from .errors import (
     ZeroRadiusError,
 )
 from .geometry import (
-    Ball, _length_tol, _row_norms, diameter, dist_to_ball, dist_to_hull, meb, sample_in_ball,
+    Ball, _length_tol, _mean, _row_norms, diameter, dist_to_ball, dist_to_hull, meb, sample_in_ball,
     trusted_box,
 )
 from .pointset import _count, _real, as_points, as_vector
@@ -185,9 +185,9 @@ def check_bias_bound(y, honest, c: float, *, tol: float = ABS_TOL) -> Certificat
     pts = as_points(honest)
     v = as_vector(y, pts.shape[1])
     ball = _honest_ball(pts)
-    achieved = float(_row_norms(v - pts.mean(axis=0)))
+    mean = _mean(pts)
     bound = (c + 1.0) * ball.radius
-    return _certify(f"bias(c={c:g})", achieved, bound, tol, pts.mean(axis=0), points=pts)
+    return _certify(f"bias(c={c:g})", float(_row_norms(v - mean)), bound, tol, mean, points=pts)
 
 
 _BOUND_RULES = ("mda", "medoid", "geomedian", "minmax-meb")

@@ -21,6 +21,8 @@ from mebagg import (
     TooManySubsetsError,
     candidate_balls,
     candidate_balls_bruteforce,
+    check_bias_bound,
+    check_c_meb,
     coordwise_median,
     diameter,
     dist_to_hull,
@@ -29,6 +31,7 @@ from mebagg import (
     lower_bound_construction,
     mda,
     mean_aggregate,
+    meb,
     medoid,
     medoid_counterexample,
     minmax_meb,
@@ -167,13 +170,37 @@ def test_mda_mean_holds_when_the_sum_passes_the_float_range():
         assert np.array_equal(result.output, pts[list(result.chosen_subset)].mean(axis=0))
 
 
+def test_means_hold_when_the_coordinate_sums_pass_the_float_range():
+    # the first coordinates sum past the float range, though every mean is
+    # finite; means are summed in each coordinate's power-of-two unit, so
+    # each result here is its result at 2**-8 scale scaled back, bit for bit
+    P = np.array([(1.5e308, 0.0), (1.7e308, 1.0), (1.6e308, 3.0)])
+    Q, y = np.ldexp(P, -8), P[2]
+
+    def up(x):
+        return np.ldexp(x, 8)
+
+    big, small = meb(P), meb(Q)
+    assert np.array_equal(big.center, up(small.center)) and big.radius == up(small.radius)
+    big, small = check_c_meb(y, P, 1.0), check_c_meb(np.ldexp(y, -8), Q, 1.0)
+    assert (big.achieved, big.bound, big.passed) == (small.achieved, small.bound, small.passed)
+    big, small = check_bias_bound(y, P, 1.0), check_bias_bound(np.ldexp(y, -8), Q, 1.0)
+    assert (big.achieved, big.bound, big.passed) == (up(small.achieved), up(small.bound), small.passed)
+    big, small = candidate_balls(P, 1), candidate_balls(Q, 1)
+    assert np.array_equal(big.centers(), up(small.centers()))
+    assert np.array_equal(big.radii(), up(small.radii()))
+    big, small = minmax_meb(P, 1), minmax_meb(Q, 1)
+    assert np.array_equal(big.output, up(small.output)) and big.achieved_value == small.achieved_value
+    assert np.array_equal(mean_aggregate(P).output, up(mean_aggregate(Q).output))
+
+
 def test_mda_and_medoid_hold_when_the_extent_passes_the_float_range():
     # the extent, 2e308, overflows unless it is taken on the halved points
     pts = np.array([(-1e308, 0.0), (1e308, 0.0), (0.5e308, 0.0), (0.6e308, 1.0)])
     unit = pts / 1e308
     assert medoid(pts).chosen_index == medoid(unit).chosen_index == 2
     assert mda(pts, 2).chosen_subset == mda(unit, 2).chosen_subset == (2, 3)
-    # geomedian's Weiszfeld steps square lengths as long as the extent
+    # geomedian's Newton steps square lengths as long as the extent
     wide = np.array([(-1e308, 0.0), (1e308, 0.0), (0.0, 1e308), (0.1e308, 0.2e308)])
     assert np.allclose(geometric_median(wide).output,
                        geometric_median(wide / 1e308).output * 1e308, rtol=1e-9, atol=0.0)
@@ -378,6 +405,72 @@ def test_gm_subgradient_norm_small(rng):
     assert smooth_checked >= 5
 
 
+@pytest.mark.parametrize("d", [2, 8, 200, 5000])
+@pytest.mark.parametrize("n", [5, 12, 30])
+def test_gm_optimality_certificate_in_every_dimension(n, d):
+    # d >= n runs the Newton steps in the span of the points; each output is
+    # certified where it lies, and it lies in the points' affine hull
+    rng = np.random.default_rng(1000 * n + d)
+    clouds = [random_cloud(rng, n, d), random_cloud(rng, n, d)]
+    clouds[1][: n // 2] = clouds[1][0]  # a heavy point, optimal or not
+    clouds.append(random_instance(n, (n - 1) // 2, d, seed=n + d, strategy="uniform-far").points.points)
+    for pts in clouds:
+        out = geometric_median(pts).output
+        extent = float(np.ptp(pts, axis=0).max())
+        dist = np.linalg.norm(pts - out, axis=1)
+        here = dist <= 1e-12 * extent
+        pull = np.linalg.norm(((out - pts[~here]) / dist[~here, None]).sum(axis=0))
+        if here.any():  # vertex: the pull of the others is at most its multiplicity
+            assert pull <= here.sum() + 1e-9
+        else:  # the 1e-12 n would also catch a descent test that loses its sign
+            assert pull <= 1e-12 * n
+        centered = pts - pts.mean(axis=0)
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        span = vt[svals > 1e-12 * svals[0]]
+        off = out - pts.mean(axis=0)
+        assert np.linalg.norm(off - (off @ span.T) @ span) <= 1e-12 * extent
+
+
+def test_gm_settles_in_a_few_steps_where_weiszfeld_crawled():
+    # a labeled bench input: Weiszfeld took 2031 iterations here and
+    # stopped with a gradient residual of 5.9e-5
+    pts = random_instance(20, 7, 2, seed=2083950923, strategy="uniform-far").points.points
+    out = geometric_median(pts, 7, max_iter=20).output
+    dist = np.linalg.norm(pts - out, axis=1)
+    assert np.linalg.norm(((out - pts) / dist[:, None]).sum(axis=0)) <= 1e-6 * len(pts)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [[(0.799, -0.551, 2.161), (0.799000001616, -0.551000000663, 2.161000001046),
+      (-0.383, 0.167, 0.735), (-0.587, 0.38, -0.017)],
+     [(-0.961, -0.71, -1.19), (-0.961000000014, -0.709999998873, -1.190000000068),
+      (0.624, 1.632, 0.27), (0.195, -0.275, -1.608), (0.76, -1.756, 0.653)]],
+    ids=["optimum-beside-the-pair", "optimum-away-from-the-pair"],
+)
+def test_gm_settles_beside_a_near_duplicate_pair(pts):
+    # two inputs 2e-9 apart: full Newton steps overshoot the pair, so they are
+    # cut back to its closest approach, and beside the pair every step is
+    # short, so only a step short against the pair's distance ends the loop
+    pts = np.array(pts)
+    out = geometric_median(pts, max_iter=20).output
+    dist = np.linalg.norm(pts - out, axis=1)
+    assert np.linalg.norm(((out - pts) / dist[:, None]).sum(axis=0)) <= 1e-6 * len(pts)
+
+
+def test_gm_ends_beside_a_pair_closer_than_rounding():
+    # the pair is 1e-11 apart, so steps beside it reach the rounding of the
+    # coordinates before they reach tol times its distance: a step below
+    # that rounding floor ends the loop
+    pts = np.array([(-1.718, 1.682), (-1.71800000000639, 1.681999999992), (1.138, 0.349)])
+    out = geometric_median(pts, max_iter=20).output
+
+    def cost(y):
+        return float(np.linalg.norm(pts - y, axis=1).sum())
+
+    assert cost(out) <= min(cost(p) for p in pts) + 1e-12
+
+
 @pytest.mark.parametrize(
     "pts, expected",
     [([(0.0, 0.0)] * 6 + [(1.0, 1.0), (-1.0, 2.0)], (0.0, 0.0)),
@@ -395,7 +488,7 @@ def test_gm_data_point_optimum(pts, expected):
 
 def test_gm_steps_off_a_landing_that_is_not_optimal():
     # the mean (0, 0) is a data point, but the four points near x = 3 pull
-    # harder than its multiplicity: one descent step off it, then Weiszfeld
+    # harder than its multiplicity: one descent step off it, then Newton
     pts = np.array([(0.0, 0.0), (3.0, 1.0), (3.0, -1.0), (3.0, 0.5), (3.0, -0.5), (-12.0, 0.0)])
     out = geometric_median(pts).output
     d = np.linalg.norm(pts - out, axis=1)

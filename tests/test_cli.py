@@ -116,6 +116,15 @@ def test_aggregate_mean_t0(runner, tmp_path):
     assert _strict_json(result.output)["output"] == [1.0, 2.0]
 
 
+def test_aggregate_mean_holds_when_the_coordinate_sum_passes_the_float_range(runner, tmp_path):
+    # the first coordinates sum past the float range; their mean does not
+    path = tmp_path / "p.csv"
+    path.write_text("1.5e308,0\n1.7e308,1\n1.6e308,3\n")
+    result = runner.invoke(main, ["aggregate", str(path), "--rule", "mean"])
+    assert result.exit_code == 0, result.output
+    assert _strict_json(result.output)["output"] == [1.6e308, 4.0 / 3.0]
+
+
 def test_aggregate_malformed_csv_exits_1(runner, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2\nx,y\n")
