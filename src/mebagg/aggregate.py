@@ -449,7 +449,8 @@ def geometric_median(
     lowers f, else cut back to the point of its ray closest to the nearest input; when
     neither lowers f, or the iterate lands on an input, that input gets the vertex test
     (Vardi-Zhang). It is returned, exactly, when the pull of the others is at most its
-    multiplicity; else one Weiszfeld step, or the descent step off the input, follows.
+    multiplicity, the inputs within 1e-10 of the extent of it counting as one cluster;
+    else one Weiszfeld step, or the descent step off the input, follows.
     The loop stops at an uncut step no longer than ``tol`` times the smaller of the
     extent and the nearest input's distance, or than the rounding floor; ``max_iter``
     (an integer >= 1) caps the steps, ``tol`` is finite and >= 0. Collinear inputs take
@@ -463,8 +464,8 @@ def geometric_median(
     # in the extent's power-of-two unit (as ``_distance_matrix``): squares stay in range
     e = _spread_exp(np.ptp(pts / 2, axis=0)) + 1
     P = np.ldexp(pts, -e)
-    # length tolerances of the extent: on a data point, settled, rounding
-    here_tol, step_tol, floor = _length_tol(np.array([1e-12, tol, 0.0]), P)
+    # length tolerances of the extent: on a data point, one cluster, settled, rounding
+    here_tol, near_tol, step_tol, floor = _length_tol(np.array([1e-12, 1e-10, tol, 0.0]), P)
     centered = P - (mean := _mean(P))
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     if svals[0] <= here_tol:  # one point, or all equal
@@ -495,10 +496,11 @@ def geometric_median(
             if lowers:
                 z, diff, dist = z - s, diff - s, new
                 continue
-        # vertex test at Z[k]: optimal when the pull of the other points is
-        # at most its multiplicity
+        # vertex test at Z[k]: optimal when the pull of the other points is at most
+        # its multiplicity; inputs within near_tol of it count as one cluster, or the
+        # descent step off it would aim at a neighbour a few here_tol away and stop there
         dk = np.linalg.norm(Z - Z[k], axis=1)
-        rest = dk > here_tol
+        rest = dk > near_tol
         mult = n - int(rest.sum())
         rnorm = float(np.linalg.norm(((Z[k] - Z[rest]) / dk[rest, None]).sum(axis=0)))
         if rnorm <= mult + 1e-12:

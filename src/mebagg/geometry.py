@@ -79,13 +79,13 @@ _CHUNK_ELEMS = 1 << 16
 def _spread_exp(x) -> int:
     """The exponent e of the power of two 2**e just above max |x| (0 for all
     zeros); scaling by 2**-e brings x near 1 and rounds nothing."""
-    return int(np.frexp(np.abs(x).max())[1])
+    return int(np.frexp(np.maximum.reduce(np.abs(x), axis=None))[1])
 
 
 def _mean(pts: np.ndarray) -> np.ndarray:
     """Column means summed in each coordinate's power-of-two unit, which rounds nothing:
     no sum overflows where the mean is representable, and in range no bit changes."""
-    e = np.frexp(np.abs(pts).max(axis=0))[1]
+    e = np.frexp(np.maximum.reduce(np.abs(pts)))[1]
     return np.ldexp(np.add.reduce(np.ldexp(pts, -e)) / len(pts), e)
 
 
@@ -97,16 +97,22 @@ def _length_tol(tol, pts: np.ndarray):
     (taken on the halved points so it cannot overflow), plus a rounding
     floor of ``_ROUNDING_FLOOR`` max|x|: a tolerance for lengths among the
     points that does not change when they are translated or scaled. An
-    array of tols gives the array of tolerances."""
-    lo, hi = (pts / 2).min(axis=0), (pts / 2).max(axis=0)
-    return 2.0 * (tol * float((hi - lo).max()) + _ROUNDING_FLOOR * float(np.maximum(hi, -lo).max()))
+    array of tols gives the array of tolerances. The ufunc reductions are
+    called directly: at these sizes the ``ndarray.max`` wrappers cost more."""
+    half = pts / 2
+    lo, hi = np.minimum.reduce(half), np.maximum.reduce(half)
+    extent, size = np.maximum.reduce(hi - lo), np.maximum.reduce(np.maximum(hi, -lo))
+    return 2.0 * (tol * float(extent) + _ROUNDING_FLOOR * float(size))
 
 
 def _row_norms(diff: np.ndarray) -> np.ndarray:
     """Row norms of ``diff``, or one vector's norm, in the power-of-two unit
-    of its spread: the squares cannot overflow or underflow, and in range no bit changes."""
+    of its spread: the squares cannot overflow or underflow, and in range no bit changes.
+    The sums of squares are those ``np.linalg.norm`` takes, without its wrapper: an
+    ``np.add.reduce`` over each row, a ``dot`` for one vector."""
     e = _spread_exp(diff)
-    return np.ldexp(np.linalg.norm(np.ldexp(diff, -e), axis=1 if diff.ndim > 1 else None), e)
+    x = np.ldexp(diff, -e)
+    return np.ldexp(np.sqrt(np.add.reduce(x * x, axis=1) if x.ndim > 1 else x.dot(x)), e)
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +173,7 @@ def _gram_solve(G: np.ndarray, b: np.ndarray, dims: np.ndarray):
     return (A.diagonal(0, 0, 1) > floor).all(axis=1), x
 
 
-def _closed_form(CW: np.ndarray, RW: np.ndarray, S: np.ndarray, slack: float):
+def _closed_form(CW: np.ndarray, RW: np.ndarray, S: np.ndarray, slack: float, G=None):
     """Solve the balls S in closed form. With c_0 the ball of S of smallest
     radius, V the rows c_i - c_0, G = V V^T, b_i = |v_i|^2/2,
     delta_i = (r_i^2 - r_0^2)/2 and q = rho^2, y = c_0 + V^T gamma with
@@ -175,14 +181,16 @@ def _closed_form(CW: np.ndarray, RW: np.ndarray, S: np.ndarray, slack: float):
     y(q) = c_0 + a - q w, on which |y(q) - c_0|^2 = q r_0^2 fixes q; forming
     the discriminant from the offset of c_0 from the line keeps the root
     accurate when one radius is tiny. Returns S sorted by radius, y, rho,
-    ``ok`` (each ball of S has the top ratio, rho) and y's convex weights;
-    when G is singular or q has no root, ``ok`` is False and the rest None."""
-    S = S[np.argsort(RW[S])]
+    ``ok`` (each ball of S has the top ratio, rho), y's convex weights and G;
+    when G is singular or q has no root, ``ok`` is False and y, rho and the weights None.
+    A given Gram matrix ``G`` is taken as that of S, sorted already, that passed
+    ``_full_rank``: the stable sort, the product V V^T and the rank test are skipped."""
+    if G is None:
+        S = S[np.argsort(RW[S], kind="stable")]
     Cs, Rs = CW[S], RW[S]
     V = Cs[1:] - Cs[0]
-    G = V @ V.T
-    if not _full_rank(G):
-        return S, None, None, False, None
+    if G is None and not _full_rank(G := V @ V.T):
+        return S, None, None, False, None, G
     r0sq = float(Rs[0] * Rs[0])  # a scalar ** 2 calls pow, which can miss r * r by an ulp
     beta = np.linalg.solve(G, 0.5 * np.array([np.einsum("ij,ij->i", V, V), Rs[1:] ** 2 - r0sq]).T)
     a, w = lines = np.einsum("ik,id->kd", beta, V)
@@ -191,7 +199,7 @@ def _closed_form(CW: np.ndarray, RW: np.ndarray, S: np.ndarray, slack: float):
     # |a - q w|^2 = q r_0^2  <=>  ww q^2 - lin q + aa = 0
     lin = 2.0 * aw + r0sq
     if not lin > 0:
-        return S, None, None, False, None
+        return S, None, None, False, None, G
     disc = r0sq * r0sq + 4.0 * r0sq * aw - 4.0 * ww * float(np.add.reduce(a_perp * a_perp))
     q = 2.0 * aa / (lin + math.sqrt(max(disc, 0.0)))
     y = Cs[0] + a - q * w
@@ -199,7 +207,7 @@ def _closed_form(CW: np.ndarray, RW: np.ndarray, S: np.ndarray, slack: float):
     rho = ratios.max()
     gamma = beta[:, 0] - q * beta[:, 1]
     lam = np.concatenate(([1.0 - gamma.sum()], gamma))
-    return S, y, rho, ratios[S].min() >= rho * (1.0 - slack), lam
+    return S, y, rho, ratios[S].min() >= rho * (1.0 - slack), lam, G
 
 
 def _slack(RW: np.ndarray) -> float:
@@ -209,16 +217,20 @@ def _slack(RW: np.ndarray) -> float:
 
 def _pivot(CW: np.ndarray, RW: np.ndarray, keep: int):
     """Pivot all the balls as one basis, dropping the ball of least convex weight
-    but ball ``keep`` (``len(RW)`` keeps none): (y, rho, S) once certified, else None."""
-    S, slack = np.arange(len(RW)), _slack(RW)
+    but ball ``keep`` (``len(RW)`` keeps none): (y, rho, S) once certified, else None.
+    One sort, Gram matrix and rank test serve every drop but the base's, which moves V:
+    a drop deletes its row and column of G, in order, and a subset of vectors that passed
+    ``_pivot_floor`` passes it (each squared sine can only rise, the bar falls with k)."""
+    S, slack, G = np.arange(len(RW)), _slack(RW), None
     while True:
-        S, y, rho, ok, lam = _closed_form(CW, RW, S, slack)
+        S, y, rho, ok, lam, G = _closed_form(CW, RW, S, slack, G)
         if not ok:
             return None
         if lam.min() >= -1e-10:
             return y, float(rho), S
         lam[S == keep] = np.inf
-        S = np.delete(S, np.argmin(lam))
+        rest = np.arange(len(S)) != np.argmin(lam)
+        S, G = S[rest], (G[rest[1:]][:, rest[1:]] if rest[0] else None)
 
 
 def _level_search(CW: np.ndarray, RW: np.ndarray, slack: float):
@@ -232,7 +244,7 @@ def _level_search(CW: np.ndarray, RW: np.ndarray, slack: float):
     for k in range(min(m, d + 1), 0, -1):
         certified = tight = None
         for others in itertools.combinations(range(m - 1), k - 1):
-            S, y, rho, ok, lam = _closed_form(CW, RW, np.array(others + (m - 1,)), slack)
+            S, y, rho, ok, lam, _ = _closed_form(CW, RW, np.array(others + (m - 1,)), slack)
             if ok and lam.min() >= -1e-10 and (certified is None or rho < certified[1]):
                 certified = (y, float(rho), S)
             if ok and (tight is None or rho < tight[1]):
@@ -287,15 +299,15 @@ def _one_center(C: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float, list[i
         return np.ldexp(y, cexp) + origin, float(np.ldexp(rho, cexp - rexp)), S.tolist()
     # else start from a far pair: the ball farthest by ratio from the centroid,
     # then the ball farthest from it by ||c_i - c_j|| / (r_i + r_j)
-    i = int(np.argmax(np.linalg.norm(local, axis=1) / R))
-    j = int(np.argmax(np.linalg.norm(local - local[i], axis=1) / (R + R[i])))
+    i = int(np.argmax(np.sqrt(np.add.reduce(local * local, axis=1)) / R))
+    j = int(np.argmax(np.sqrt(np.add.reduce((local - local[i]) ** 2, axis=1)) / (R + R[i])))
     work = [i, j] if i != j else [i]
     for _ in range(_MINMAX_MAX_ROUNDS):
         best = _best_basis(local, R, work)
         if best is None:
             raise NonConvergenceError(f"no support of the working set {work} is tight")
         y, rho, support = best
-        ratios = np.linalg.norm(local - y, axis=1) / R
+        ratios = np.sqrt(np.add.reduce((local - y) ** 2, axis=1)) / R  # norm(axis=1), unwrapped
         worst = int(np.argmax(ratios))
         if ratios[worst] <= rho * (1.0 + 1e-12):
             return np.ldexp(y, cexp) + origin, float(np.ldexp(rho, cexp - rexp)), support

@@ -85,7 +85,7 @@ def as_points(data) -> np.ndarray:
         raise EmptyInputError("expected a nonempty sequence of points")
     if pts.shape[1] < 1:
         raise DimensionMismatchError("points must have dimension >= 1")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise MebaggError("points must be finite (no NaN/inf)")
     return pts
 
@@ -95,7 +95,7 @@ def as_vector(data, dim: int | None = None) -> np.ndarray:
     v = np.asarray(data, dtype=float).reshape(-1)
     if v.size == 0:
         raise EmptyInputError("expected a nonempty vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise MebaggError("vector must be finite (no NaN/inf)")
     if dim is not None and v.size != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {v.size}")

@@ -445,13 +445,18 @@ def test_gm_settles_in_a_few_steps_where_weiszfeld_crawled():
     [[(0.799, -0.551, 2.161), (0.799000001616, -0.551000000663, 2.161000001046),
       (-0.383, 0.167, 0.735), (-0.587, 0.38, -0.017)],
      [(-0.961, -0.71, -1.19), (-0.961000000014, -0.709999998873, -1.190000000068),
-      (0.624, 1.632, 0.27), (0.195, -0.275, -1.608), (0.76, -1.756, 0.653)]],
-    ids=["optimum-beside-the-pair", "optimum-away-from-the-pair"],
+      (0.624, 1.632, 0.27), (0.195, -0.275, -1.608), (0.76, -1.756, 0.653)],
+     [(0.561, 0.532), (0.561000000000028, 0.531999999997697),
+      (1.412, 0.534), (0.364, -0.63), (0.603, -0.599)]],
+    ids=["optimum-beside-the-pair", "optimum-away-from-the-pair", "optimum-away-from-a-closer-pair"],
 )
 def test_gm_settles_beside_a_near_duplicate_pair(pts):
     # two inputs 2e-9 apart: full Newton steps overshoot the pair, so they are
     # cut back to its closest approach, and beside the pair every step is
-    # short, so only a step short against the pair's distance ends the loop
+    # short, so only a step short against the pair's distance ends the loop.
+    # The closer pair is 2.3e-12 apart, about two on-a-point tolerances: the
+    # vertex test must take it as one cluster, or its descent step off one
+    # input aims at the other and the loop ends between them
     pts = np.array(pts)
     out = geometric_median(pts, max_iter=20).output
     dist = np.linalg.norm(pts - out, axis=1)

@@ -31,6 +31,7 @@ from mebagg import (
     solve_minmax,
     trusted_box,
 )
+from mebagg.pointset import as_points, as_vector
 from conftest import random_cloud, random_rotation
 
 # ---------------------------------------------------------------------------
@@ -270,7 +271,7 @@ def test_closed_form_matches_the_batched_oracle_bit_for_bit(working_sets):
         for k in range(2, min(m, d + 1) + 1):
             combos = np.array(list(itertools.combinations(range(m), k)))
             for S, y, ok, row in zip(*_batched_closed_form(CW, RW, combos), combos):
-                S_one, y_one, _, _, _ = mebagg.geometry._closed_form(CW, RW, row, 0.0)
+                S_one, y_one, *_ = mebagg.geometry._closed_form(CW, RW, row, 0.0)
                 if ok and y_one is not None:
                     assert np.array_equal(S_one, S) and np.array_equal(y_one, y), (work, row)
                     compared += 1
@@ -400,6 +401,119 @@ def test_meb_of_many_points_in_high_dimension(n, d, seed, monkeypatch):
     assert dists.max() <= ball.radius
     tight = pts[dists >= ball.radius * (1.0 - 1e-9)]
     assert dist_to_hull(ball.center, tight) <= 1e-12 * ball.radius
+
+
+def _fresh_pivot(CW, RW, keep):
+    """``_pivot`` with every solve a fresh ``_closed_form``, which sorts S, forms
+    G = V V^T and tests its rank each time; also the number of base drops."""
+    S, slack, base_drops = np.arange(len(RW)), mebagg.geometry._slack(RW), 0
+    while True:
+        S, y, rho, ok, lam, _ = mebagg.geometry._closed_form(CW, RW, S, slack)
+        if not ok:
+            return None, base_drops
+        if lam.min() >= -1e-10:
+            return (y, float(rho), S), base_drops
+        lam[S == keep] = np.inf
+        base_drops += int(np.argmin(lam)) == 0
+        S = np.delete(S, np.argmin(lam))
+
+
+def test_pivot_reuses_one_gram_matrix_as_a_fresh_solve_would(working_sets, monkeypatch):
+    # a drop deletes a row and column of the first Gram matrix and skips the rank
+    # test; only a drop of the base forms G afresh. The result is the fresh
+    # solves', bit for bit, where the BLAS product gives each entry of V V^T the
+    # same bits at any position: up to 11 vectors of up to 24 coordinates with
+    # the OpenBLAS numpy ships. At 30 x 40 it is not (an entry's last bit depends
+    # on its block), so there S must match and y, rho agree to 16 eps
+    ranks = _count_calls(monkeypatch, "_full_rank")
+    rng = np.random.default_rng(29)
+    cases = [(C[work], R[work], len(work) - 1, True) for C, R, work in working_sets
+             if len(work) <= C.shape[1] + 1]
+    for n, d in [(9, 8), (9, 12), (30, 40)]:
+        for _ in range(20):
+            C = rng.normal(size=(n, d))
+            for R in (np.ones(n), rng.uniform(0.5, 2.0, size=n)):
+                cases += [(C, R, n, d <= 12), (C, R, n - 1, d <= 12)]
+    pivots = base_drops = 0
+    for CW, RW, keep, bitwise in cases:
+        want, drops = _fresh_pivot(CW, RW, keep)
+        ranks.clear()
+        got = mebagg.geometry._pivot(CW, RW, keep)
+        assert (got is None) == (want is None)
+        assert len(ranks) == 1 + drops
+        if got is None:
+            continue
+        pivots, base_drops = pivots + 1, base_drops + drops
+        assert np.array_equal(got[2], want[2])
+        if bitwise:
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        else:
+            eps = np.finfo(float).eps
+            assert np.abs(got[0] - want[0]).max() <= 16 * eps * np.abs(want[0]).max()
+            assert abs(got[1] - want[1]) <= 16 * eps * want[1]
+    assert pivots >= 500 and base_drops >= 10, (pivots, base_drops)
+
+
+def test_helpers_match_their_numpy_wrapper_forms_bit_for_bit():
+    # the helpers call the ufunc reductions directly; the wrapper forms they had
+    # (np.linalg.norm, ndarray.max and .min, np.all) are the reference
+    def spread_exp(x):
+        return int(np.frexp(np.abs(x).max())[1])
+
+    def row_norms(diff):
+        e = spread_exp(diff)
+        return np.ldexp(np.linalg.norm(np.ldexp(diff, -e), axis=1 if diff.ndim > 1 else None), e)
+
+    def length_tol(tol, pts):
+        lo, hi = (pts / 2).min(axis=0), (pts / 2).max(axis=0)
+        return 2.0 * (tol * float((hi - lo).max()) + 2.0**-49 * float(np.maximum(hi, -lo).max()))
+
+    def mean(pts):
+        e = np.frexp(np.abs(pts).max(axis=0))[1]
+        return np.ldexp(np.add.reduce(np.ldexp(pts, -e)) / len(pts), e)
+
+    geo = mebagg.geometry
+    rng = np.random.default_rng(29)
+    tols = np.array([1e-12, 1e-10, 1e-9, 0.0])
+    for trial in range(600):
+        n, d = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        pts = rng.normal(size=(n, d)) * 2.0 ** float(rng.choice([-600, 0, 600]))
+        if trial % 3 == 1:
+            pts[rng.integers(n)] = 0.0
+        elif trial % 3 == 2:  # coordinates near the float maximum, with row norms in range
+            pts = rng.choice([-1.0, 1.0], size=(n, d)) * rng.uniform(0.9, 1.0, size=(n, d))
+            pts *= 1.79e308 / math.sqrt(d)
+        assert geo._spread_exp(pts) == spread_exp(pts)
+        got, want = geo._row_norms(pts), row_norms(pts)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        got, want = geo._row_norms(pts[0]), row_norms(pts[0])
+        assert type(got) is type(want) and got == want
+        assert np.array_equal(geo._length_tol(tols, pts), length_tol(tols, pts))
+        assert geo._length_tol(1e-9, pts) == length_tol(1e-9, pts)
+        assert np.array_equal(geo._mean(pts), mean(pts))
+        assert np.array_equal(as_points(pts), pts)
+        assert np.array_equal(as_vector(pts[0]), pts[0])
+        bad = pts.copy()
+        bad[rng.integers(n), rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf])
+        assert not np.all(np.isfinite(bad))
+        with pytest.raises(MebaggError, match="finite"):
+            as_points(bad)
+        with pytest.raises(MebaggError, match="finite"):
+            as_vector(bad.ravel())
+    # empty input raises what the wrapper forms raise
+    empty = np.zeros((0, 3))
+    pairs = [(geo._spread_exp, spread_exp), (geo._row_norms, row_norms), (geo._mean, mean),
+             (lambda p: geo._length_tol(1e-9, p), lambda p: length_tol(1e-9, p))]
+    for new, old in pairs:
+        for arg in (empty, np.zeros(0)):
+            with pytest.raises(ValueError) as got:
+                new(arg)
+            with pytest.raises(ValueError) as want:
+                old(arg)
+            assert str(got.value) == str(want.value)
+    for coerce in (as_points, as_vector):
+        with pytest.raises(EmptyInputError):
+            coerce(empty)
 
 
 def test_unique_rows_matches_numpy_unique():
