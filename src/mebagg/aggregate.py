@@ -45,10 +45,11 @@ MAX_SUBSETS = 2_000_000
 # support checks: candidate_balls searches when its node bound is cheaper than
 # the supports, and the search falls back to bases past C(n, t) at this price.
 # Measured on the 41 sweep/worstcase shapes (one Xeon vCPU, numpy 2.4): a node
-# costs a median 134 support rows (quartiles 61-231), and the bound counts
-# about twice the nodes visited; but at a price of 65 the three shapes that
-# move to the search run slower there, so the price stays.
-_MEB_COST_IN_SUPPORTS = 500
+# costs a median 250 us, 290 support rows; on the t = 1 shapes with 800 or more
+# supports, where the choice is close, a bound node costs 420-1020 rows. Any price
+# from 581 to 1006 picks the faster path on all 41: the supports for (24, 1, 2),
+# 680 against 1060 us, and the search for (19, 1, 3), 1250 against 1370 us.
+_MEB_COST_IN_SUPPORTS = 800
 
 # At most _TABLES subset tables of at most _TABLE_ELEMS indices (8 MB in all) are kept, each
 # with one row size a row; the worstcase bench shapes need 16 tables and the sweep ones 17.

@@ -173,6 +173,11 @@ def _gram_solve(G: np.ndarray, b: np.ndarray, dims: np.ndarray):
     return (A.diagonal(0, 0, 1) > floor).all(axis=1), x
 
 
+def _ratios(C: np.ndarray, R: np.ndarray, y) -> np.ndarray:
+    """||y - c_i|| / r_i for every ball, by ``np.linalg.norm(axis=1)``'s sums, unwrapped."""
+    return np.sqrt(np.add.reduce((C - y) ** 2, axis=1)) / R
+
+
 def _closed_form(CW: np.ndarray, RW: np.ndarray, S: np.ndarray, slack: float, G=None):
     """Solve the balls S in closed form. With c_0 the ball of S of smallest
     radius, V the rows c_i - c_0, G = V V^T, b_i = |v_i|^2/2,
@@ -203,7 +208,7 @@ def _closed_form(CW: np.ndarray, RW: np.ndarray, S: np.ndarray, slack: float, G=
     disc = r0sq * r0sq + 4.0 * r0sq * aw - 4.0 * ww * float(np.add.reduce(a_perp * a_perp))
     q = 2.0 * aa / (lin + math.sqrt(max(disc, 0.0)))
     y = Cs[0] + a - q * w
-    ratios = np.sqrt(np.add.reduce((CW - y) ** 2, axis=1)) / RW  # norm(axis=1), unwrapped
+    ratios = _ratios(CW, RW, y)
     rho = ratios.max()
     gamma = beta[:, 0] - q * beta[:, 1]
     lam = np.concatenate(([1.0 - gamma.sum()], gamma))
@@ -282,9 +287,11 @@ def _one_center(C: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float, list[i
     most d+1 tight balls whose centers hold y in their hull fix the optimum.
     So at most d+1 balls are first pivoted as one basis (``_pivot``); all
     are in it, so a certified pivot is optimal. Else (G singular, say) an
-    active-set loop from a far pair solves the working set (``_best_basis``),
-    stops when no ball has a larger ratio, else adds the worst violator, kept
-    last, to the optimal support. It never exceeds d+2 balls and its optimum
+    active-set loop starts at a far pair's optimum, known in closed form: the
+    point dividing c_i c_j in the ratio r_i : r_j, at which both ratios are
+    rho. Each round then checks before it solves: it stops when no ball has a
+    larger ratio, else solves the optimal support plus the worst violator,
+    kept last (``_best_basis``). It never exceeds d+2 balls and its optimum
     strictly rises each round. With every r_i = 1 it gives the centers' MEB.
     """
     # a local origin keeps the closed-form solves well scaled at any offset;
@@ -297,21 +304,29 @@ def _one_center(C: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float, list[i
     if len(R) <= C.shape[1] + 1 and (first := _pivot(local, R, len(R))):
         y, rho, S = first
         return np.ldexp(y, cexp) + origin, float(np.ldexp(rho, cexp - rexp)), S.tolist()
-    # else start from a far pair: the ball farthest by ratio from the centroid,
-    # then the ball farthest from it by ||c_i - c_j|| / (r_i + r_j)
-    i = int(np.argmax(np.sqrt(np.add.reduce(local * local, axis=1)) / R))
-    j = int(np.argmax(np.sqrt(np.add.reduce((local - local[i]) ** 2, axis=1)) / (R + R[i])))
-    work = [i, j] if i != j else [i]
+    # else start at a far pair's optimum: the ball farthest by ratio from the
+    # centroid, then the ball farthest from it by ||c_i - c_j|| / (r_i + r_j),
+    # or j alone at one center. As in a closed form, the support is sorted by
+    # radius and rho read from the ratios at y: the distance formula can leave
+    # a tiny ball above rho, its own violator
+    i = int(np.argmax(_ratios(local, R, 0.0)))
+    j = int(np.argmax(_ratios(local, R + R[i], local[i])))
+    if (local[i] != local[j]).any():
+        y = (R[j] * local[i] + R[i] * local[j]) / (R[i] + R[j])
+        support = [i, j] if R[i] <= R[j] else [j, i]
+    else:
+        y, support = local[j], [j]
+    ratios = _ratios(local, R, y)
+    rho = ratios[support].max()
     for _ in range(_MINMAX_MAX_ROUNDS):
-        best = _best_basis(local, R, work)
-        if best is None:
-            raise NonConvergenceError(f"no support of the working set {work} is tight")
-        y, rho, support = best
-        ratios = np.sqrt(np.add.reduce((local - y) ** 2, axis=1)) / R  # norm(axis=1), unwrapped
         worst = int(np.argmax(ratios))
         if ratios[worst] <= rho * (1.0 + 1e-12):
             return np.ldexp(y, cexp) + origin, float(np.ldexp(rho, cexp - rexp)), support
-        work = support + [worst]
+        best = _best_basis(local, R, work := support + [worst])
+        if best is None:
+            raise NonConvergenceError(f"no support of the working set {work} is tight")
+        y, rho, support = best
+        ratios = _ratios(local, R, y)
     raise NonConvergenceError(f"active set did not settle within {_MINMAX_MAX_ROUNDS} rounds")
 
 

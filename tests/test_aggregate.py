@@ -598,7 +598,7 @@ def test_candidate_balls_count():
 
 def _agreement_cases():
     shapes = [(6, 2, 1), (9, 3, 2), (12, 4, 3), (10, 2, 5), (20, 2, 3), (14, 2, 8), (20, 1, 8)]
-    # the benchmark's t = 1 shapes that take the violator search by default
+    # the benchmark's t = 1 shapes on either side of the search's price
     shapes += [(18, 1, 4), (19, 1, 3), (24, 1, 2)]
     for n, t, d in shapes:
         pts = random_instance(n, t, d, seed=n + d).points.points

@@ -206,15 +206,15 @@ def _all_subsets_basis(C, R, work):
 
 
 def _working_sets(rng, count):
-    """(C, R, work) for the working sets of three or more balls that
-    ``_one_center`` solves on random ball sets in d <= 6, until ``count`` of
-    them are collected; the first round's pair is skipped."""
+    """(C, R, work) for the working sets that ``_one_center`` hands
+    ``_best_basis`` on random ball sets in d <= 6, until ``count`` of them are
+    collected. The loop starts at the far pair's closed-form optimum, so each
+    is a support plus its violator, three or more balls."""
     solve = mebagg.geometry._best_basis
     seen = []
 
     def record(C, R, work):
-        if len(work) > 2:
-            seen.append((C, R, list(work)))
+        seen.append((C, R, list(work)))
         return solve(C, R, work)
 
     layouts = ("generic", "coincident", "collinear", "tiny", "offset")
@@ -312,6 +312,21 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _uncertified_first_rounds(monkeypatch):
+    """A list that grows by one each time ``_one_center``'s first round (a
+    ``_pivot`` that keeps no ball) ends uncertified, so the far-pair loop decides."""
+    pivot, failed = mebagg.geometry._pivot, []
+
+    def recording(CW, RW, keep):
+        best = pivot(CW, RW, keep)
+        if keep == len(RW) and best is None:
+            failed.append(1)
+        return best
+
+    monkeypatch.setattr(mebagg.geometry, "_pivot", recording)
+    return failed
+
+
 def test_meb_regular_simplex_by_the_pivot_alone(monkeypatch):
     # the level search raises, so the pivot alone settles every round; d+1
     # points fit one basis, so the first round solves them all in one closed
@@ -335,16 +350,16 @@ def test_meb_of_an_affinely_dependent_small_set_takes_the_fallback(d, monkeypatc
     # d+1 points on a flat of lower dimension (a line, a plane in R^3, ...):
     # G is singular, so the first round cannot certify and the far-pair loop
     # decides; the ball passes the any-d certificate and matches the brute force
-    bases = _count_calls(monkeypatch, "_best_basis")
+    fallbacks = _uncertified_first_rounds(monkeypatch)
     rng = np.random.default_rng(70 + d)
     for flat in range(1, d):
         for _ in range(5):
             pts = np.zeros((d + 1, d))
             pts[:, :flat] = rng.normal(size=(d + 1, flat))
             pts = pts[:, rng.permutation(d)] + 1e3
-            bases.clear()
+            fallbacks.clear()
             ball = meb(pts)
-            assert bases, (d, flat)
+            assert fallbacks, (d, flat)
             dists = np.linalg.norm(pts - ball.center, axis=1)
             assert dists.max() <= ball.radius
             tight = pts[dists >= ball.radius * (1.0 - 1e-9)]
@@ -358,7 +373,7 @@ def test_small_weighted_sets_match_the_exhaustive_oracle_and_the_grid(monkeypatc
     # m <= d+1 weighted balls, a quarter of them with a repeated center (a
     # singular G, so the far-pair loop decides): the min-max value matches
     # the all-subsets closed form in any d, and the grid (d <= 3) never beats it
-    bases = _count_calls(monkeypatch, "_best_basis")
+    fallbacks = _uncertified_first_rounds(monkeypatch)
     rng = np.random.default_rng(41)
     first_round = fallback = 0
     for trial in range(40):
@@ -369,15 +384,48 @@ def test_small_weighted_sets_match_the_exhaustive_oracle_and_the_grid(monkeypatc
             C[1] = C[0]
         R = rng.uniform(0.3, 2.0, size=m)
         balls = CandidateBalls.from_balls([Ball(c, r) for c, r in zip(C, R)])
-        bases.clear()
+        fallbacks.clear()
         _, value = solve_minmax(balls)
-        first_round, fallback = first_round + (not bases), fallback + bool(bases)
+        first_round, fallback = first_round + (not fallbacks), fallback + bool(fallbacks)
         _, rho, _ = _all_subsets_basis(C, R, list(range(m)))
         assert math.isclose(1.0 + value, rho, rel_tol=1e-9), trial
         if d <= 3:
             _, grid_value = grid_minmax(balls, resolution=40, zooms=12)
             assert value <= grid_value + 1e-12 and grid_value <= value + 1e-3, trial
     assert first_round >= 15 and fallback >= 15, (first_round, fallback)
+
+
+@pytest.mark.parametrize("case", ["collinear", "tiny-radius", "coincident"])
+def test_far_pair_optimum_starts_the_loop_without_a_solve(case, monkeypatch):
+    # m > d+1 balls whose optimum is the far pair: the loop starts at the point
+    # dividing the pair's centers in the ratio of their radii and certifies it
+    # there, with no working-set solve. Its rho is the larger of the pair's two
+    # ratios at that point. With a radius 1e-9 of the largest, rounding y puts
+    # the small ball's ratio 8e-8 above ||c_i - c_j|| / (r_i + r_j), so that
+    # distance formula would leave the ball above rho, a violator of its own
+    # optimum. Its centers have a mean of exactly 0, so no rounding of the
+    # kernel's local origin enters the ratios read here
+    C, R = {
+        "collinear": (np.outer([-2.0, -1.0, 0.5, 1.0, 1.5, 0.0], [0.6, 0.8]), np.ones(6)),
+        "tiny-radius": (
+            np.array([[3.0, 1.0], [-2.5, -0.5], [-1.0, 1.0], [0.0, -1.0], [0.5, -0.5]]),
+            np.array([2e-9, 2.0, 2.0, 2.0, 2.0]),
+        ),
+        "coincident": (np.tile([0.1, 0.5], (6, 1)), np.array([3.0, 1.0, 4.0, 1.5, 2.5, 2.0])),
+    }[case]
+    bases = _count_calls(monkeypatch, "_best_basis")
+    y, rho, basis = mebagg.geometry._one_center(C, R)
+    assert not bases
+    assert len(basis) == (1 if case == "coincident" else 2)
+    # a ratio read at a y rounded to eps max|c| is good to about eps max|c| / r
+    rounding = 4 * np.finfo(float).eps * np.abs(C).max()
+    ratios = np.linalg.norm(C - y, axis=1) / R
+    assert ratios.max() <= rho * (1.0 + 1e-12)
+    assert (np.abs(ratios[basis] - rho) <= 1e-12 * rho + rounding / R[basis].min()).all()
+    want_y, want_rho, want_basis = _all_subsets_basis(C, R, list(range(len(R))))
+    assert sorted(basis) == sorted(want_basis)
+    assert math.isclose(rho, want_rho, rel_tol=1e-12, abs_tol=rounding / R.min())
+    assert np.allclose(y, want_y, rtol=0.0, atol=rounding)
 
 
 @pytest.mark.parametrize("n, d, seed", [(80, 1000, 1), (80, 1000, 2), (100, 1000, 0), (128, 512, 2)])
