@@ -384,12 +384,15 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
     """Minimum-diameter averaging: mean of a size-(n-t) subset of smallest
     diameter; ties go to the lexicographically smallest index set.
 
-    The subsets are walked in lexicographic order, in chunks that hold about
-    ``_CHUNK_ELEMS`` pair distances, so memory stays bounded at any count.
-    The walk skips every subset that holds a point with fewer than n-t-1
-    others within an attained diameter, since no such subset can beat it;
-    ``max_subsets`` (an integer >= 1) still caps all C(n, n-t) subsets,
-    counted before that pruning.
+    A depth-first search over point sets S, memoised on S, from all n points,
+    with the m = n-t points nearest the point whose (m-1)-th neighbour is
+    closest as the incumbent. A node peels the points with fewer than m-1
+    others within the best diameter yet, which no subset that ties it holds;
+    records S's first m indices, its lex-first m-subset, optimal once diam(S)
+    is; and while |S| > m branches on dropping either end of S's farthest
+    pair, which every subset of smaller diameter drops: at most 2^(t+1) - 1
+    nodes. ``max_subsets`` (an integer >= 1) still caps all C(n, n-t)
+    subsets, counted before the search.
     """
     pts = as_points(points)
     n = pts.shape[0]
@@ -402,29 +405,25 @@ def mda(points, t: int, *, max_subsets: int = MAX_SUBSETS) -> AggregateResult:
             f"C({n},{m}) = {count} subsets exceeds the cap of {max_subsets}"
         )
     dmat = _distance_matrix(pts)
-    # the lex-first subset stands until a strictly smaller diameter displaces
-    # it; argmin keeps the first of a chunk's ties
-    best, best_sub = math.inf, tuple(range(m))
+    best_sub = tuple(range(m))
     if m > 1:
-        # the m points nearest the point with the closest (m-1)-th neighbour
-        # attain a diameter D, and a subset of diameter <= D lies in the
-        # (m-1)-core of the pairs within D: peel points with fewer partners
         i = int(np.argmin(np.partition(dmat, m - 1, axis=1)[:, m - 1]))
-        near = np.argpartition(dmat[i], m - 1)[:m]
-        close = dmat <= dmat[np.ix_(near, near)].max()
-        partners = close.sum(axis=1)  # counts the point itself
-        alive = np.ones(n, dtype=bool)
-        while (drop := alive & (partners < m)).any():
-            alive &= ~drop
-            partners -= close[:, drop].sum(axis=1)
-        core = np.flatnonzero(alive)
-        pair_rows, pair_cols = np.triu_indices(m, k=1)
-        for subs, _ in _index_chunks(core.size, (m,), lambda K: max(1, _CHUNK_ELEMS // pair_rows.size)):
-            subs = core[subs]
-            diams = dmat[subs[:, pair_rows], subs[:, pair_cols]].max(axis=1)
-            idx = int(np.argmin(diams))
-            if diams[idx] < best:
-                best, best_sub = diams[idx], tuple(int(i) for i in subs[idx])
+        near = np.sort(np.argpartition(dmat[i], m - 1)[:m])
+        best, best_sub = dmat[np.ix_(near, near)].max(), tuple(near.tolist())
+        seen, todo = set(), [np.arange(n)]
+        while todo:
+            if (key := (S := todo.pop()).tobytes()) in seen:
+                continue
+            seen.add(key)
+            sub = dmat[np.ix_(S, S)]
+            while not (keep := (sub <= best).sum(axis=1) >= m).all():  # counts the point itself
+                S, sub = S[keep], sub[np.ix_(keep, keep)]
+            if S.size < m:
+                continue
+            if (head := (sub[:m, :m].max(), tuple(S[:m].tolist()))) < (best, best_sub):
+                best, best_sub = head
+            if S.size > m and sub.flat[j := int(sub.argmax())] > 0:  # the farthest pair
+                todo += [np.delete(S, j % S.size), np.delete(S, j // S.size)]
     return AggregateResult(output=_mean(pts[list(best_sub)]), rule="mda", chosen_subset=best_sub)
 
 

@@ -68,7 +68,7 @@ def _parse_vector(text: str) -> np.ndarray:
 @click.group()
 @click.option("--tol", type=float, default=1e-9, show_default=True, help="Numeric tolerance for pass/fail checks, finite and >= 0: length checks (convex, box, bias, c-meb on a single honest location) scale it by the honest points' extent; factor checks take it as is.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Seed for randomized commands.")
-@click.option("--max-subsets", type=click.IntRange(min=1), default=2_000_000, show_default=True, help="Cap on the support sets of candidate balls (past it only those a violator search picks are checked, or one basis per removable set when they pass it too, and they fail only when the C(n, t) subsets exceed it as well) and on the C(n, n-t) subsets of mda, counted before it prunes those that cannot beat an attained diameter.")
+@click.option("--max-subsets", type=click.IntRange(min=1), default=2_000_000, show_default=True, help="Cap on the support sets of candidate balls (past it only those a violator search picks are checked, or one basis per removable set when they pass it too, and they fail only when the C(n, t) subsets exceed it as well) and on the C(n, n-t) subsets of mda, counted before its search of at most 2^(t+1) - 1 point sets.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True, help="Report format where both are supported.")
 @click.pass_context

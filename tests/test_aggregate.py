@@ -1,8 +1,11 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,8 +75,8 @@ def test_mda_zero_diameter_pair():
 
 
 def test_mda_chunks_match_bruteforce(monkeypatch):
-    # integer grids tie many diameters exactly; a tiny chunk budget puts
-    # those ties across chunk boundaries, where the first subset must win
+    # integer grids tie many diameters exactly, where the first subset must
+    # win; a tiny chunk budget splits the distance matrix into one-row blocks
     monkeypatch.setattr(aggregate, "_CHUNK_ELEMS", 5)
     rng = np.random.default_rng(31)
     for _ in range(60):
@@ -109,34 +112,43 @@ def test_mda_pruned_walk_matches_bruteforce(chunk_elems, monkeypatch):
         t = int(rng.integers(0, n - 1))
         # integer grids tie many diameters, and the lex-first subset must win
         cases.append((rng.integers(0, 3, size=(n, 2)).astype(float), t))
-        # a far Byzantine cluster: peeling removes it before the walk
+        # a far Byzantine cluster: the root's peel can shed it
         b = int(rng.integers(1, max(2, n // 2)))
         honest = rng.normal(size=(n - b, 3))
         cases.append((np.vstack([honest, 50.0 + 0.1 * rng.normal(size=(b, 3))]), min(t, n - 2)))
     # all points equal: every subset ties and peeling removes nothing
     cases += [(np.zeros((9, 2)), t) for t in range(8)]
+    # tie-heavy sets: the 4-cube (n <= 2t at t = 7 and 12, the search's largest
+    # tree), the 12 integer points on the circle of radius 5, simplices, and
+    # Gaussian points with more faults than honest ones
+    cube = np.array(list(itertools.product([0.0, 1.0], repeat=4)))
+    cases += [(cube, t) for t in (3, 7, 12)]
+    circle = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25]
+    cases += [(np.array(circle, dtype=float), t) for t in range(11)]
+    cases += [(np.eye(n), t) for n in range(2, 11) for t in range(n - 1)]
+    for _ in range(20):
+        n = int(rng.integers(5, 11))
+        cases.append((rng.normal(size=(n, 3)), int(rng.integers(n // 2 + 1, n - 1))))
     for pts, t in cases:
         assert mda(pts, t).chosen_subset == _mda_bruteforce(pts, t)
 
 
-def test_mda_walks_only_the_core(monkeypatch):
-    walked = []
-    index_chunks = aggregate._index_chunks
-
-    def counting(*args):
-        for chunk, sizes in index_chunks(*args):
-            walked.append(len(chunk))
-            yield chunk, sizes
-
-    monkeypatch.setattr(aggregate, "_index_chunks", counting)
-    # the walk over all C(20, 13) = 77 520 subsets finds 1 in the core
-    inst = random_instance(20, 7, 2, seed=0, strategy="cluster")
-    mda(inst.points.points, 7)
-    assert 0 < sum(walked) <= 20
-    # nothing can be pruned when every diameter ties
-    walked.clear()
+def test_mda_finishes_in_high_dimension():
+    # 100 Gaussian points in R^1000 at t = 3: the C(100, 97) = 161 700 subsets have
+    # diameters too close for a peel to rule out. A separate process with a timeout
+    # makes a subset walk fail the suite instead of hanging it
+    code = (
+        "import numpy as np; from mebagg import mda; "
+        "pts = np.random.default_rng(0).normal(size=(100, 1000)); "
+        "print(sorted(set(range(100)) - set(mda(pts, 3).chosen_subset)))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=5, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[38, 72, 89]"
+    # every diameter ties: the lex-first subset wins
     assert mda(np.zeros((12, 2)), 4).chosen_subset == tuple(range(8))
-    assert sum(walked) == math.comb(12, 8)
 
 
 def test_mda_budget_errors():
